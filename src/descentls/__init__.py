@@ -40,14 +40,13 @@ from .linalg import (
     spectral_norm_sq,
     transpose_matvec,
 )
-from .objectives import L0LeastSquares, Objective, SmoothQuadratic, support
+from .objectives import L0LeastSquares, Objective, SmoothQuadratic, hard_threshold, support
 from .steps import (
     BaseStep,
-    ForwardBackwardStep,
     GradientDescentStep,
     IHTStep,
+    ProxGradientStep,
     StepCertificate,
-    hard_threshold,
 )
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ from .driver import (
 from .instances import InstanceSpec, generate_instance
 from .linalg import load_matrix, load_vector, save_matrix, save_vector
 from .objectives import L0LeastSquares, SmoothQuadratic
-from .steps import IHTStep
+from .steps import ProxGradientStep
 
 DEFAULT_SPEC = InstanceSpec(rows=32, cols=64, sparsity=4, noise_sigma=0.01, seed=42)
 
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 @dataclass
 class Problem:
-    step: IHTStep
+    step: ProxGradientStep
     params: LineSearchParams
     stop: StopCriteria
     x0: np.ndarray
@@ -119,7 +119,7 @@ def _build_problem(args) -> Problem:
         raise ValueError("--h-factor must be > 1")
     quad = SmoothQuadratic.from_data(a, b)
     prob = L0LeastSquares(quad=quad, lam=args.lam, zero_tol=args.zero_tol)
-    step = IHTStep.default(prob, h_factor=args.h_factor)
+    step = ProxGradientStep.default(prob, h_factor=args.h_factor)
     params = LineSearchParams(alpha=args.alpha, eta=args.eta, cap=args.cap_m)
     stop = StopCriteria(max_iters=args.max_iters, d_tol=args.d_tol,
                         residual_tol=args.residual_tol, bound_guard=args.bound_guard)
@@ -149,12 +149,8 @@ def cmd_gen(args) -> int:
 def cmd_run(args, plain: bool = False) -> int:
     problem = _build_problem(args)
     args.out.mkdir(parents=True, exist_ok=True)
-    if plain:
-        trace = run_plain(problem.x0, problem.step, problem.stop)
-        trace_path = args.out / "plain_trace.csv"
-    else:
-        trace = run(problem.x0, problem.step, problem.params, problem.stop)
-        trace_path = args.out / "trace.csv"
+    trace = run(problem.x0, problem.step, None if plain else problem.params, problem.stop)
+    trace_path = args.out / ("plain_trace.csv" if plain else "trace.csv")
     write_trace(trace, trace_path)
     ok = _verify_and_report(trace, problem, args.out / "verify.json")
     print(f"stop={trace.stop_reason.value} iterations={len(trace.records)} "
@@ -194,10 +190,7 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"FAIL record_invariants: {exc}")
         return 1
-    if plain:
-        fresh = run_plain(problem.x0, problem.step, problem.stop)
-    else:
-        fresh = run(problem.x0, problem.step, problem.params, problem.stop)
+    fresh = run(problem.x0, problem.step, None if plain else problem.params, problem.stop)
     if len(fresh.records) != len(loaded):
         print(f"FAIL trace_integrity: expected {len(fresh.records)} rows, trace has {len(loaded)}")
         return 1
@@ -206,9 +199,17 @@ def cmd_verify(args) -> int:
             print(f"FAIL trace_integrity: phi_x mismatch at row {k}: "
                   f"{loaded[k].phi_x!r} recorded vs {fresh.records[k].phi_x!r} recomputed")
             return 1
+    # check_support reads these columns, so every row must match the rerun.
+    for k, (got, want) in enumerate(zip(loaded, fresh.records)):
+        recorded = (got.support_size, got.support_entered, got.support_left)
+        recomputed = (want.support_size, want.support_entered, want.support_left)
+        if recorded != recomputed:
+            print(f"FAIL trace_integrity: support mismatch at row {k}: "
+                  f"{recorded} recorded vs {recomputed} recomputed")
+            return 1
     print("PASS trace_integrity")
     merged = RunTrace(records=loaded, final_x=fresh.final_x, stop_reason=fresh.stop_reason,
-                      final_phi=fresh.final_phi, iterates=fresh.iterates)
+                      final_phi=fresh.final_phi)
     ok = _verify_and_report(merged, problem, args.out / "verify.json")
     return 0 if ok else 1
 

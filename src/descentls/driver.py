@@ -7,8 +7,8 @@ smallest m in {0..cap} with
 
 and extrapolates x_next = x + (eta_m + 1) d.  A failed search (no feasible
 m up to the cap) sets eta = 0, so x_next = y and the run continues: failure
-is a valid outcome, not termination.  `run_plain` iterates the bare base
-step with the same trace and stop machinery for comparison.
+is a valid outcome, not termination.  Without search parameters the same
+loop iterates the bare base step (x_next = y) for comparison.
 """
 
 from __future__ import annotations
@@ -17,17 +17,18 @@ import csv
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .objectives import L0LeastSquares, Objective, support
+from .objectives import Objective
 from .steps import BaseStep
 
 # Sentinel for a failed Armijo search (also its CSV encoding).
 ARMIJO_FAILED = -1
 
-TRACE_COLUMNS = ["k", "phi_x", "phi_y", "d_norm", "m_k", "eta_k", "residual", "support_size"]
+TRACE_COLUMNS = ["k", "phi_x", "phi_y", "d_norm", "m_k", "eta_k", "residual", "support_size",
+                 "support_entered", "support_left"]
 
 
 class NonFiniteObjective(RuntimeError):
@@ -83,7 +84,11 @@ class IterationRecord:
     m_k: Optional[int]        # None on plain runs, ARMIJO_FAILED on failure
     eta_k: Optional[float]    # None on plain runs, 0.0 on failure
     residual: float
-    support_size: Optional[int]  # None for smooth objectives
+    # Support of x^{k+1}, and indices entering / leaving it from x^k's;
+    # None for smooth objectives.
+    support_size: Optional[int]
+    support_entered: Optional[int]
+    support_left: Optional[int]
 
 
 @dataclass
@@ -92,7 +97,6 @@ class RunTrace:
     final_x: np.ndarray
     stop_reason: StopReason
     final_phi: float
-    iterates: Optional[list[np.ndarray]] = None  # x^0 .. final_x when stored
 
 
 def armijo_search(
@@ -121,19 +125,33 @@ def armijo_search(
     return ARMIJO_FAILED, 0.0
 
 
-def _support_size(obj: Objective, x: np.ndarray) -> Optional[int]:
-    if isinstance(obj, L0LeastSquares):
-        return int(support(x, obj.zero_tol).size)
-    return None
-
-
 def iterate(
     x: np.ndarray,
     step: BaseStep,
-    params: LineSearchParams,
+    params: Optional[LineSearchParams] = None,
     k: int = 0,
 ) -> tuple[np.ndarray, IterationRecord]:
-    """One line-search iteration: base step, Armijo search, extrapolation."""
+    """One iteration: base step, then the Armijo search and extrapolation.
+
+    With params=None the bare base step is taken: x_next = y and the
+    record carries no m_k/eta_k.
+    """
+    x_next, record, _ = _advance(x, step.objective().support_mask(x), step, params, k)
+    return x_next, record
+
+
+def _advance(
+    x: np.ndarray,
+    mask: Optional[np.ndarray],
+    step: BaseStep,
+    params: Optional[LineSearchParams],
+    k: int,
+) -> tuple[np.ndarray, IterationRecord, Optional[np.ndarray]]:
+    """`iterate` given the support mask of x; also returns the mask of x_next.
+
+    `run` carries the mask from one iteration to the next, so each iterate's
+    support is computed once.
+    """
     obj = step.objective()
     phi_x = obj.value(x)
     y = step.apply(x)
@@ -142,13 +160,23 @@ def iterate(
     phi_y = obj.value(y)
     if not (math.isfinite(phi_x) and math.isfinite(phi_y) and math.isfinite(d_norm)):
         raise NonFiniteObjective(f"non-finite objective at iteration {k}: phi_x={phi_x}, phi_y={phi_y}")
-    if d_norm == 0.0:
+    if params is None:
+        m_k = eta_k = None
+        x_next = y
+    elif d_norm == 0.0:
         # Armijo holds with equality at m = 0; skip the cap+1 evaluations.
         m_k, eta_k = 0, 1.0
         x_next = x
     else:
         m_k, eta_k = armijo_search(obj, y, d, params, phi_y=phi_y)
         x_next = x + (eta_k + 1.0) * d
+    mask_next = obj.support_mask(x_next)
+    if mask_next is None:
+        size = entered = left = None
+    else:
+        size = int(np.count_nonzero(mask_next))
+        entered = int(np.count_nonzero(mask_next > mask))
+        left = int(np.count_nonzero(mask > mask_next))
     record = IterationRecord(
         k=k,
         phi_x=phi_x,
@@ -157,50 +185,30 @@ def iterate(
         m_k=m_k,
         eta_k=eta_k,
         residual=obj.residual(x_next),
-        support_size=_support_size(obj, x_next),
+        support_size=size,
+        support_entered=entered,
+        support_left=left,
     )
-    return x_next, record
+    return x_next, record, mask_next
 
 
-def _iterate_plain(x: np.ndarray, step: BaseStep, k: int) -> tuple[np.ndarray, IterationRecord]:
-    obj = step.objective()
-    phi_x = obj.value(x)
-    y = step.apply(x)
-    d_norm = float(np.linalg.norm(y - x))
-    phi_y = obj.value(y)
-    if not (math.isfinite(phi_x) and math.isfinite(phi_y) and math.isfinite(d_norm)):
-        raise NonFiniteObjective(f"non-finite objective at iteration {k}: phi_x={phi_x}, phi_y={phi_y}")
-    record = IterationRecord(
-        k=k,
-        phi_x=phi_x,
-        phi_y=phi_y,
-        d_norm=d_norm,
-        m_k=None,
-        eta_k=None,
-        residual=obj.residual(y),
-        support_size=_support_size(obj, y),
-    )
-    return y, record
-
-
-def _run_loop(
+def run(
     x0: np.ndarray,
-    advance: Callable[[np.ndarray, int], tuple[np.ndarray, IterationRecord]],
-    obj: Objective,
+    step: BaseStep,
+    params: Optional[LineSearchParams],
     stop: StopCriteria,
-    store_iterates: bool,
 ) -> RunTrace:
+    """Iterate until a stop criterion fires; params=None runs the bare base step."""
+    obj = step.objective()
     x = np.asarray(x0, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
+    mask = obj.support_mask(x)
     records: list[IterationRecord] = []
-    iterates = [x.copy()] if store_iterates else None
     reason = StopReason.MAX_ITERS
     for k in range(stop.max_iters):
-        x, record = advance(x, k)
+        x, record, mask = _advance(x, mask, step, params, k)
         records.append(record)
-        if iterates is not None:
-            iterates.append(x.copy())
         if record.d_norm <= stop.d_tol:
             reason = StopReason.D_TOL
             break
@@ -210,46 +218,12 @@ def _run_loop(
         if float(np.linalg.norm(x)) > stop.bound_guard:
             reason = StopReason.UNBOUNDED_GUARD
             break
-    return RunTrace(
-        records=records,
-        final_x=x,
-        stop_reason=reason,
-        final_phi=obj.value(x),
-        iterates=iterates,
-    )
+    return RunTrace(records=records, final_x=x, stop_reason=reason, final_phi=obj.value(x))
 
 
-def run(
-    x0: np.ndarray,
-    step: BaseStep,
-    params: LineSearchParams,
-    stop: StopCriteria,
-    store_iterates: bool = True,
-) -> RunTrace:
-    """Run the base step with Armijo extrapolation until a stop criterion fires."""
-    return _run_loop(
-        x0,
-        lambda x, k: iterate(x, step, params, k=k),
-        step.objective(),
-        stop,
-        store_iterates,
-    )
-
-
-def run_plain(
-    x0: np.ndarray,
-    step: BaseStep,
-    stop: StopCriteria,
-    store_iterates: bool = True,
-) -> RunTrace:
+def run_plain(x0: np.ndarray, step: BaseStep, stop: StopCriteria) -> RunTrace:
     """Run the bare base step (no line search) with the same trace machinery."""
-    return _run_loop(
-        x0,
-        lambda x, k: _iterate_plain(x, step, k),
-        step.objective(),
-        stop,
-        store_iterates,
-    )
+    return run(x0, step, None, stop)
 
 
 def iterations_to_tolerance(trace: RunTrace, tol: float) -> Optional[int]:
@@ -269,7 +243,7 @@ def write_trace(trace: RunTrace, path) -> None:
 
     Floats carry 17 significant digits (lossless float64 round trip);
     m_k = -1 denotes a failed Armijo search; m_k/eta_k are empty on plain
-    runs and support_size is empty for smooth objectives.
+    runs and the support columns are empty for smooth objectives.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -284,6 +258,8 @@ def write_trace(trace: RunTrace, path) -> None:
                 "" if r.eta_k is None else _fmt(r.eta_k),
                 _fmt(r.residual),
                 "" if r.support_size is None else r.support_size,
+                "" if r.support_entered is None else r.support_entered,
+                "" if r.support_left is None else r.support_left,
             ])
 
 
@@ -307,6 +283,8 @@ def read_trace_records(path) -> list[IterationRecord]:
                 eta_k=None if row[5] == "" else float(row[5]),
                 residual=float(row[6]),
                 support_size=None if row[7] == "" else int(row[7]),
+                support_entered=None if row[8] == "" else int(row[8]),
+                support_left=None if row[9] == "" else int(row[9]),
             ))
     return records
 
@@ -315,13 +293,20 @@ def validate_records(records: list[IterationRecord], params: LineSearchParams) -
     """Check structural invariants of a (possibly externally edited) trace.
 
     Raises ValueError on the first violated invariant: k contiguous from 0,
-    eta_k in {0} union {eta^m : 0 <= m <= cap}, and eta_k = 0 exactly when
-    the search failed.
+    d_norm finite and nonnegative, support counts nonnegative, eta_k in
+    {0} union {eta^m : 0 <= m <= cap}, and eta_k = 0 exactly when the
+    search failed.
     """
     powers = {params.eta ** m for m in range(params.cap + 1)}
     for i, r in enumerate(records):
         if r.k != i:
             raise ValueError(f"record {i} has k = {r.k}, expected {i}")
+        if not (math.isfinite(r.d_norm) and r.d_norm >= 0.0):
+            raise ValueError(f"record {i}: d_norm = {r.d_norm} is not finite and nonnegative")
+        for name in ("support_size", "support_entered", "support_left"):
+            count = getattr(r, name)
+            if count is not None and count < 0:
+                raise ValueError(f"record {i}: {name} = {count} is negative")
         if (r.m_k is None) != (r.eta_k is None):
             raise ValueError(f"record {i}: m_k and eta_k must both be present or both absent")
         if r.m_k is None:

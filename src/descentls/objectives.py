@@ -1,16 +1,20 @@
 """Objective functions: smooth least-squares loss and its l0-regularized sum.
 
-Both objectives expose `value` and `residual`, where `residual(x)` is the
-distance from zero to the (sub)differential at x.  For the l0 objective
-this has a closed form: the norm of the smooth gradient restricted to the
-support of x, because zero coordinates of the counting regularizer
-contribute the whole real line to the subdifferential.
+Both objectives are Phi = f + g with f = 1/2 ||b - A x||^2.  They expose
+`value` and `residual`, where `residual(x)` is the distance from zero to
+the (sub)differential at x.  For the l0 objective this has a closed form:
+the norm of the smooth gradient restricted to the support of x, because
+zero coordinates of the counting regularizer contribute the whole real
+line to the subdifferential.  `grad` (of f) and `prox` (of g) are what a
+proximal-gradient step needs; `lipschitz` is the gradient-Lipschitz
+constant of f.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
 
@@ -22,10 +26,36 @@ class Objective(Protocol):
     """Behavior contract shared by all objectives."""
 
     is_smooth: bool
+    lipschitz: float
 
     def value(self, x: np.ndarray) -> float: ...
 
     def residual(self, x: np.ndarray) -> float: ...
+
+    def grad(self, x: np.ndarray) -> np.ndarray: ...
+
+    def prox(self, z: np.ndarray, h: float) -> np.ndarray: ...
+
+    def support_mask(self, x: np.ndarray) -> Optional[np.ndarray]:
+        """Boolean mask of the support of x; None when the objective is smooth."""
+        ...
+
+
+def hard_threshold(t, lam: float, h: float):
+    """Keep t where |t| >= sqrt(2*lam/h), zero it otherwise.
+
+    This is the prox of (lam/h) * (number of nonzeros).  The boundary is
+    kept.  Works elementwise on arrays and on scalars.
+    """
+    if not lam > 0:
+        raise ValueError("lam must be positive")
+    if not h > 0:
+        raise ValueError("h must be positive")
+    thresh = math.sqrt(2.0 * lam / h)
+    if np.isscalar(t):
+        return t if abs(t) >= thresh else 0.0
+    t = np.asarray(t, dtype=np.float64)
+    return np.where(np.abs(t) >= thresh, t, 0.0)
 
 
 def support(x: np.ndarray, zero_tol: float = 0.0) -> np.ndarray:
@@ -67,6 +97,13 @@ class SmoothQuadratic:
     def residual(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.grad(x)))
 
+    def prox(self, z: np.ndarray, h: float) -> np.ndarray:
+        """The prox of the zero regularizer: the identity."""
+        return z
+
+    def support_mask(self, x: np.ndarray) -> None:
+        return None
+
 
 @dataclass(frozen=True)
 class L0LeastSquares:
@@ -83,8 +120,21 @@ class L0LeastSquares:
         if self.zero_tol < 0:
             raise ValueError("zero_tol must be nonnegative")
 
+    @property
+    def lipschitz(self) -> float:
+        return self.quad.lipschitz
+
     def value(self, x: np.ndarray) -> float:
         return self.quad.value(x) + self.lam * support(x, self.zero_tol).size
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        return self.quad.grad(x)
+
+    def prox(self, z: np.ndarray, h: float) -> np.ndarray:
+        return hard_threshold(z, self.lam, h)
+
+    def support_mask(self, x: np.ndarray) -> np.ndarray:
+        return np.abs(x) > self.zero_tol
 
     def residual(self, x: np.ndarray) -> float:
         s = support(x, self.zero_tol)

@@ -15,7 +15,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .objectives import L0LeastSquares, Objective, SmoothQuadratic
+from .objectives import Objective, SmoothQuadratic
 
 # Default margin for the strict step-size condition h > ||A||^2.
 DEFAULT_H_FACTOR = 1.01
@@ -42,22 +42,6 @@ class BaseStep(Protocol):
     def certificate(self) -> StepCertificate: ...
 
     def objective(self) -> Objective: ...
-
-
-def hard_threshold(t, lam: float, h: float):
-    """Keep t where |t| >= sqrt(2*lam/h), zero it otherwise.
-
-    The boundary is kept.  Works elementwise on arrays and on scalars.
-    """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    if not h > 0:
-        raise ValueError("h must be positive")
-    thresh = math.sqrt(2.0 * lam / h)
-    if np.isscalar(t):
-        return t if abs(t) >= thresh else 0.0
-    t = np.asarray(t, dtype=np.float64)
-    return np.where(np.abs(t) >= thresh, t, 0.0)
 
 
 @dataclass(frozen=True)
@@ -93,64 +77,43 @@ class GradientDescentStep:
 
 
 @dataclass(frozen=True)
-class ForwardBackwardStep:
-    """y = prox[x - (1/h) grad f(x)] with the zero regularizer (identity prox).
+class ProxGradientStep:
+    """Forward-backward splitting: y = prox[x - (1/h) grad f(x)].
 
-    Equivalent to gradient descent with step 1/h but carries the
-    forward-backward certificate nu = (h - L)/2, beta = h + L, matching
-    the l0 instantiation below.
+    The objective supplies grad and prox.  On a `SmoothQuadratic` the prox
+    is the identity; on `L0LeastSquares` it is hard thresholding at
+    sqrt(2*lam/h), which makes this iterative hard thresholding (IHT).
+    Requires h strictly above the gradient-Lipschitz constant L of f.
     """
 
-    quad: SmoothQuadratic
+    prob: Objective
     h: float
 
     def __post_init__(self):
-        if not self.h > self.quad.lipschitz:
-            raise ValueError(f"h = {self.h} must exceed the Lipschitz constant {self.quad.lipschitz}")
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return x - self.quad.grad(x) / self.h
-
-    def certificate(self) -> StepCertificate:
-        L = self.quad.lipschitz
-        return StepCertificate(nu=(self.h - L) / 2.0, beta=self.h + L)
-
-    def objective(self) -> Objective:
-        return self.quad
-
-
-@dataclass(frozen=True)
-class IHTStep:
-    """Iterative hard thresholding for l0-regularized least squares.
-
-    y = H(x - (1/h) A.T (A x - b)) with threshold sqrt(2*lam/h); requires
-    h strictly above the gradient-Lipschitz constant of the loss.
-    """
-
-    prob: L0LeastSquares
-    h: float
-
-    def __post_init__(self):
-        if not self.h > self.prob.quad.lipschitz:
-            raise ValueError(f"h = {self.h} must exceed the Lipschitz constant {self.prob.quad.lipschitz}")
+        if not self.h > self.prob.lipschitz:
+            raise ValueError(f"h = {self.h} must exceed the Lipschitz constant {self.prob.lipschitz}")
 
     @classmethod
-    def default(cls, prob: L0LeastSquares, h_factor: float = DEFAULT_H_FACTOR) -> "IHTStep":
+    def default(cls, prob: Objective, h_factor: float = DEFAULT_H_FACTOR) -> "ProxGradientStep":
         if not h_factor > 1:
             raise ValueError("h_factor must be > 1")
-        return cls(prob=prob, h=h_factor * prob.quad.lipschitz)
+        return cls(prob=prob, h=h_factor * prob.lipschitz)
 
     @property
     def threshold(self) -> float:
+        """Hard-threshold level sqrt(2*lam/h); defined for l0 objectives only."""
         return math.sqrt(2.0 * self.prob.lam / self.h)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        z = x - self.prob.quad.grad(x) / self.h
-        return hard_threshold(z, self.prob.lam, self.h)
+        return self.prob.prox(x - self.prob.grad(x) / self.h, self.h)
 
     def certificate(self) -> StepCertificate:
-        L = self.prob.quad.lipschitz
+        L = self.prob.lipschitz
         return StepCertificate(nu=(self.h - L) / 2.0, beta=self.h + L)
 
     def objective(self) -> Objective:
         return self.prob
+
+
+# Iterative hard thresholding is this step on an `L0LeastSquares` objective.
+IHTStep = ProxGradientStep

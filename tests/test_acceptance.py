@@ -29,8 +29,8 @@ from descentls.driver import (
 )
 from descentls.instances import InstanceSpec, generate_instance
 from descentls.linalg import save_matrix, save_vector
-from descentls.objectives import L0LeastSquares, SmoothQuadratic
-from descentls.steps import IHTStep, hard_threshold
+from descentls.objectives import L0LeastSquares, SmoothQuadratic, hard_threshold
+from descentls.steps import IHTStep
 
 PARAMS = LineSearchParams(alpha=0.1, eta=0.5, cap=20)
 STOP = StopCriteria(max_iters=10_000, d_tol=1e-10)

@@ -116,6 +116,7 @@ def _corrupt(path, row, column, delta):
     (-1, 3),   # d_norm on the last row: demands a decrease that never happened
     (-1, 6),   # residual on the last row: breaks the residual bound
     (4, 5),    # eta_k becomes a value the search cannot produce
+    (6, 8),    # support_entered: must match the rerun on every row
 ])
 def test_verify_catches_corruption(tmp_path, row, column):
     out = tmp_path / "mut"
@@ -123,6 +124,20 @@ def test_verify_catches_corruption(tmp_path, row, column):
     _corrupt(out / "trace.csv", row, column, 1.0)
     assert main(["verify", "--seed", "9", "--trace", str(out / "trace.csv"),
                  "--out", str(out)]) == 1
+
+
+def test_verify_rejects_negative_d_norm(tmp_path, capsys):
+    out = tmp_path / "neg"
+    assert main(["run", "--seed", "9", "--out", str(out)]) == 0
+    path = out / "trace.csv"
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    rows[3][3] = format(-float(rows[3][3]), ".17g")
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    assert main(["verify", "--seed", "9", "--trace", str(path), "--out", str(out)]) == 1
+    assert "FAIL record_invariants" in capsys.readouterr().out
 
 
 def test_verify_plain_trace(tmp_path):

@@ -126,18 +126,9 @@ def test_check_support_truncated(micro):
     step, trace = micro
     truncated = copy.deepcopy(trace)
     truncated.records = truncated.records[:1]
-    truncated.iterates = truncated.iterates[:2]
     k_stab, report = check_support(truncated, step.threshold)
     assert k_stab is None
     assert not report.passed
-
-
-def test_check_support_requires_iterates(micro):
-    step, trace = micro
-    stripped = copy.deepcopy(trace)
-    stripped.iterates = None
-    with pytest.raises(ValueError):
-        check_support(stripped, step.threshold)
 
 
 def test_check_cauchy_converged(micro):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,8 @@ from descentls.driver import (
     write_trace,
 )
 from descentls.instances import InstanceSpec, generate_instance
-from descentls.objectives import L0LeastSquares, SmoothQuadratic
-from descentls.steps import GradientDescentStep, IHTStep
+from descentls.objectives import L0LeastSquares, SmoothQuadratic, support
+from descentls.steps import GradientDescentStep, IHTStep, ProxGradientStep
 
 PARAMS = LineSearchParams(alpha=0.1, eta=0.5, cap=10)
 
@@ -100,6 +102,7 @@ def test_iterate_worked_instance():
     assert record.d_norm == 1.5
     assert record.residual == 0.0
     assert record.support_size == 1
+    assert record.support_entered == 1 and record.support_left == 0
 
 
 def test_iterate_fixed_point():
@@ -171,6 +174,25 @@ def test_phi_monotone_and_sandwich_on_seeded_run():
             assert 1.0 <= ratio <= 2.0
 
 
+@pytest.mark.parametrize("params", [PARAMS, None], ids=["search", "plain"])
+def test_run_matches_iterate_and_support_sets(params):
+    # run carries each iterate's support mask forward; iterate recomputes it.
+    a, b, _ = generate_instance(InstanceSpec(16, 32, 3, 0.01, seed=6))
+    prob = L0LeastSquares(quad=SmoothQuadratic.from_data(a, b), lam=0.01)
+    step = IHTStep.default(prob)
+    trace = run(np.zeros(32), step, params, StopCriteria())
+    x = np.zeros(32)
+    for k, recorded in enumerate(trace.records):
+        x_next, record = iterate(x, step, params, k)
+        assert record == recorded
+        before, after = set(support(x).tolist()), set(support(x_next).tolist())
+        assert record.support_size == len(after)
+        assert record.support_entered == len(after - before)
+        assert record.support_left == len(before - after)
+        x = x_next
+    np.testing.assert_array_equal(x, trace.final_x)
+
+
 def test_max_iters_stop():
     step = micro_step()
     trace = run_plain(np.zeros(2), step, StopCriteria(max_iters=3, d_tol=0.0))
@@ -206,12 +228,25 @@ def test_trace_csv_round_trip(tmp_path):
         write_trace(trace, path)
         loaded = read_trace_records(path)
         assert loaded == trace.records
+        changes = [(r.support_entered, r.support_left) for r in loaded]
+        assert changes == [(r.support_entered, r.support_left) for r in trace.records]
+        assert None not in {c for pair in changes for c in pair}
+    smooth = run(np.zeros(16), ProxGradientStep.default(prob.quad), PARAMS, StopCriteria())
+    write_trace(smooth, path)
+    assert read_trace_records(path) == smooth.records
+    assert {(r.support_size, r.support_entered, r.support_left) for r in smooth.records} == {(None,) * 3}
 
 
 def test_validate_records():
     step = micro_step()
     trace = run(np.zeros(2), step, PARAMS, StopCriteria())
     validate_records(trace.records, PARAMS)
+    for field, value in (("d_norm", -1.0), ("d_norm", float("nan")), ("d_norm", float("inf")),
+                         ("support_entered", -1), ("support_left", -1), ("support_size", -1)):
+        bad = copy.deepcopy(trace.records)
+        setattr(bad[0], field, value)
+        with pytest.raises(ValueError, match=field):
+            validate_records(bad, PARAMS)
     bad = [r for r in trace.records]
     bad[0].eta_k = 2.0
     with pytest.raises(ValueError):

@@ -1,0 +1,41 @@
+"""The benchmark in perfbench/ still runs against this package.
+
+perfbench measures from outside: it imports public names, subclasses the
+step and the objectives to count calls, and checks the evaluation count
+of each traced solve against its m_k column.  This runs that path on one
+8x16 instance and changes nothing in perfbench/.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from descentls.instances import InstanceSpec, generate_instance
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("measure"), importlib.import_module("tracing")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+@pytest.mark.parametrize("variant", ["search", "plain"])
+def test_traced_solve_matches_untraced(perfbench, variant):
+    measure, tracing = perfbench
+    a, b, _ = generate_instance(InstanceSpec(8, 16, 2, 0.01, 0))
+    step = measure.setup(measure.Instance(0, a, b, 0.0, {}))
+    untraced = measure.solve(variant, step)
+    traced_step, counts = tracing.instrument(step, tracing.Tracer())
+    traced = measure.solve(variant, traced_step)
+    assert measure.same_run(traced, untraced)
+    searches, _, trials = measure.search_counts(traced)
+    assert (searches > 0) == (variant == "search")
+    # phi_x and phi_y per iteration, every Armijo trial, and final_phi.
+    assert counts["value"] == 2 * len(traced.records) + trials + 1

@@ -3,14 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from descentls.instances import InstanceSpec, generate_instance
-from descentls.objectives import L0LeastSquares, SmoothQuadratic
-from descentls.steps import (
-    ForwardBackwardStep,
-    GradientDescentStep,
-    IHTStep,
-    StepCertificate,
-    hard_threshold,
-)
+from descentls.objectives import L0LeastSquares, SmoothQuadratic, hard_threshold
+from descentls.steps import GradientDescentStep, IHTStep, ProxGradientStep, StepCertificate
 
 
 def make_problem(seed=1, lam=0.01, rows=16, cols=32, sparsity=3, noise=0.01):
@@ -103,7 +97,7 @@ def test_iht_rejects_h_at_or_below_lipschitz():
 
 def test_forward_backward_matches_small_gradient_step():
     quad = SmoothQuadratic.from_data(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([1.0, 2.0]))
-    fb = ForwardBackwardStep(quad=quad, h=2.0 * quad.lipschitz)
+    fb = ProxGradientStep(prob=quad, h=2.0 * quad.lipschitz)
     gd = GradientDescentStep(quad=quad, tau=1.0 / (2.0 * quad.lipschitz))
     x = np.array([0.3, -0.7])
     np.testing.assert_allclose(fb.apply(x), gd.apply(x), rtol=1e-15)
