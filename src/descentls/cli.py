@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -18,6 +18,7 @@ import numpy as np
 
 from . import diagnostics
 from .driver import (
+    IterationRecord,
     LineSearchParams,
     RunTrace,
     StopCriteria,
@@ -134,6 +135,16 @@ def _verify_and_report(trace: RunTrace, problem: Problem, out_path: Path) -> boo
     return all(r.passed for r in reports)
 
 
+def _first_difference(recorded: list[IterationRecord], recomputed: list[IterationRecord]) -> str:
+    """Describe the first row where a recorded trace departs from its rerun."""
+    for got, want in zip(recorded, recomputed):
+        if got != want:
+            names = [f.name for f in fields(got) if getattr(got, f.name) != getattr(want, f.name)]
+            got_values, want_values = ({n: getattr(r, n) for n in names} for r in (got, want))
+            return f"row k={want.k}: {got_values} recorded vs {want_values} recomputed"
+    return f"expected {len(recomputed)} rows, trace has {len(recorded)}"
+
+
 def cmd_gen(args) -> int:
     spec = InstanceSpec(rows=args.rows, cols=args.cols, sparsity=args.sparsity,
                         noise_sigma=args.noise, seed=args.seed)
@@ -191,26 +202,12 @@ def cmd_verify(args) -> int:
         print(f"FAIL record_invariants: {exc}")
         return 1
     fresh = run(problem.x0, problem.step, None if plain else problem.params, problem.stop)
-    if len(fresh.records) != len(loaded):
-        print(f"FAIL trace_integrity: expected {len(fresh.records)} rows, trace has {len(loaded)}")
+    if loaded != fresh.records:
+        print(f"FAIL trace_integrity: {_first_difference(loaded, fresh.records)}")
         return 1
-    for k in range(0, len(loaded), 10):
-        if loaded[k].phi_x != fresh.records[k].phi_x:
-            print(f"FAIL trace_integrity: phi_x mismatch at row {k}: "
-                  f"{loaded[k].phi_x!r} recorded vs {fresh.records[k].phi_x!r} recomputed")
-            return 1
-    # check_support reads these columns, so every row must match the rerun.
-    for k, (got, want) in enumerate(zip(loaded, fresh.records)):
-        recorded = (got.support_size, got.support_entered, got.support_left)
-        recomputed = (want.support_size, want.support_entered, want.support_left)
-        if recorded != recomputed:
-            print(f"FAIL trace_integrity: support mismatch at row {k}: "
-                  f"{recorded} recorded vs {recomputed} recomputed")
-            return 1
     print("PASS trace_integrity")
-    merged = RunTrace(records=loaded, final_x=fresh.final_x, stop_reason=fresh.stop_reason,
-                      final_phi=fresh.final_phi)
-    ok = _verify_and_report(merged, problem, args.out / "verify.json")
+    args.out.mkdir(parents=True, exist_ok=True)
+    ok = _verify_and_report(fresh, problem, args.out / "verify.json")
     return 0 if ok else 1
 
 

@@ -68,12 +68,18 @@ def spectral_norm_sq(
     returned estimate is inflated by `safety` so that consumers relying on
     strict inequalities against ||A||_2^2 are not bitten by estimation
     error.  A zero matrix yields 0.0.
+
+    The largest squared column norm, ||A e_j||^2, is a rigorous lower bound
+    on ||A||_2^2.  Raises ValueError when the Rayleigh quotient falls below
+    it by more than SPECTRAL_SAFETY, which happens when the start vector is
+    (nearly) orthogonal to the top singular vector.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     a = as_matrix(a)
+    lower = float(np.einsum("ij,ij->j", a, a).max())
     n = a.shape[1]
     v = np.ones(n) / np.sqrt(n)
     lam = 0.0
@@ -81,13 +87,16 @@ def spectral_norm_sq(
         w = a.T @ (a @ v)
         norm_w = float(np.linalg.norm(w))
         if norm_w == 0.0:
-            return 0.0
+            break  # v is in the null space of A: lam = 0, which fails the check unless A = 0
         lam_new = float(v @ w)
         v = w / norm_w
         if lam > 0 and abs(lam_new - lam) <= tol * lam_new:
             lam = lam_new
             break
         lam = lam_new
+    if SPECTRAL_SAFETY * lam < lower:
+        raise ValueError(f"power iteration estimate {lam!r} of ||A||^2 is below the largest "
+                         f"squared column norm {lower!r}")
     return safety * lam
 
 

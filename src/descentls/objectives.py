@@ -125,7 +125,7 @@ class L0LeastSquares:
         return self.quad.lipschitz
 
     def value(self, x: np.ndarray) -> float:
-        return self.quad.value(x) + self.lam * support(x, self.zero_tol).size
+        return self.quad.value(x) + self.lam * int(np.count_nonzero(self.support_mask(x)))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self.quad.grad(x)
@@ -137,8 +137,8 @@ class L0LeastSquares:
         return np.abs(x) > self.zero_tol
 
     def residual(self, x: np.ndarray) -> float:
-        s = support(x, self.zero_tol)
-        if s.size == 0:
+        mask = self.support_mask(x)
+        if not mask.any():
             return 0.0
         g = self.quad.grad(x)
-        return float(np.linalg.norm(g[s]))
+        return float(np.linalg.norm(g[mask]))

@@ -87,7 +87,7 @@ def test_criterion_2_sufficient_decrease(seeded_runs):
         L = step.prob.quad.lipschitz
         assert cert.nu == (step.h - L) / 2.0
         for trace in (ls, plain):
-            rep = check_sufficient_decrease(trace, cert, PARAMS, L)
+            rep = check_sufficient_decrease(trace, cert, PARAMS)
             ok = ok and rep.passed
     assert report("2 sufficient decrease, zero violations over 50 seeds", ok)
 

@@ -103,27 +103,46 @@ def test_verify_fresh_trace(tmp_path):
                  "--out", str(out)]) == 0
 
 
-def _corrupt(path, row, column, delta):
+def _corrupt(path, row, edits):
+    """Rewrite cells of one CSV row (row 0 is the header); edits: column -> f(old value)."""
     with open(path) as fh:
         rows = list(csv.reader(fh))
-    rows[row][column] = format(float(rows[row][column]) + delta, ".17g")
+    for column, edit in edits.items():
+        rows[row][column] = format(edit(float(rows[row][column])), ".17g")
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
 
 
-@pytest.mark.parametrize("row,column", [
-    (5, 1),    # phi_x mid-trace: creates an objective increase
-    (-1, 3),   # d_norm on the last row: demands a decrease that never happened
-    (-1, 6),   # residual on the last row: breaks the residual bound
-    (4, 5),    # eta_k becomes a value the search cannot produce
-    (6, 8),    # support_entered: must match the rerun on every row
+INTEGRITY = "FAIL trace_integrity: row k="
+
+
+@pytest.mark.parametrize("row,edits,expected", [
+    # phi_x mid-trace: creates an objective increase
+    pytest.param(5, {1: lambda v: v + 1.0}, INTEGRITY + "4", id="5-1"),
+    # d_norm on the last row: demands a decrease that never happened
+    pytest.param(-1, {3: lambda v: v + 1.0}, INTEGRITY + "272", id="-1-3"),
+    # residual on the last row: breaks the residual bound
+    pytest.param(-1, {6: lambda v: v + 1.0}, INTEGRITY + "272", id="-1-6"),
+    # eta_k becomes a value the search cannot produce
+    pytest.param(4, {5: lambda v: v + 1.0}, "FAIL record_invariants", id="4-5"),
+    # support_entered: the support check reads it
+    pytest.param(6, {8: lambda v: v + 1.0}, INTEGRITY + "5", id="6-8"),
+    # Edits that leave every record valid and every diagnostic passing; only
+    # the comparison with the rerun catches them.  Row k is CSV row k + 1.
+    pytest.param(102, {4: lambda m: m + 1, 5: lambda e: e / 2}, INTEGRITY + "101",
+                 id="m_k-eta_k-k101"),
+    pytest.param(151, {2: lambda v: v * 0.999}, INTEGRITY + "150", id="phi_y-k150"),
+    pytest.param(151, {6: lambda v: v / 2}, INTEGRITY + "150", id="residual-k150"),
+    pytest.param(151, {3: lambda v: v * 1.5}, INTEGRITY + "150", id="d_norm-k150"),
 ])
-def test_verify_catches_corruption(tmp_path, row, column):
+def test_verify_catches_corruption(tmp_path, capsys, row, edits, expected):
     out = tmp_path / "mut"
     assert main(["run", "--seed", "9", "--out", str(out)]) == 0
-    _corrupt(out / "trace.csv", row, column, 1.0)
+    _corrupt(out / "trace.csv", row, edits)
+    capsys.readouterr()
     assert main(["verify", "--seed", "9", "--trace", str(out / "trace.csv"),
                  "--out", str(out)]) == 1
+    assert expected + ":" in capsys.readouterr().out
 
 
 def test_verify_rejects_negative_d_norm(tmp_path, capsys):
@@ -145,3 +164,22 @@ def test_verify_plain_trace(tmp_path):
     assert main(["run-plain", "--seed", "9", "--out", str(out)]) == 0
     assert main(["verify", "--seed", "9", "--trace", str(out / "plain_trace.csv"),
                  "--out", str(out)]) == 0
+
+
+def test_verify_creates_out_dir(tmp_path):
+    out = tmp_path / "o9"
+    assert main(["run", "--seed", "9", "--out", str(out)]) == 0
+    new_dir = tmp_path / "new" / "dir"
+    assert main(["verify", "--seed", "9", "--trace", str(out / "trace.csv"),
+                 "--out", str(new_dir)]) == 0
+    assert json.loads((new_dir / "verify.json").read_text())["stop_reason"] == "d_tol"
+
+
+@pytest.mark.parametrize("matrix", [[[2.0, -2.0], [0.1, 0.1]], [[1.0, -1.0]]])
+def test_run_rejects_low_spectral_estimate(tmp_path, capsys, matrix):
+    a = np.array(matrix)
+    save_matrix(a, tmp_path / "A.csv")
+    save_vector(np.ones(a.shape[0]), tmp_path / "b.csv")
+    assert main(["run", "--matrix", str(tmp_path / "A.csv"), "--rhs", str(tmp_path / "b.csv"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "below the largest squared column norm" in capsys.readouterr().err

@@ -50,8 +50,7 @@ def test_derived_constants_relations():
 
 def test_sufficient_decrease_passes(micro):
     step, trace = micro
-    report = check_sufficient_decrease(trace, step.certificate(), PARAMS,
-                                       step.prob.quad.lipschitz)
+    report = check_sufficient_decrease(trace, step.certificate(), PARAMS)
     assert report.passed
     # eta_plus = 1 on this trace, a = nu + alpha
     assert eta_plus_of(trace) == 1.0

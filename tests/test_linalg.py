@@ -68,6 +68,15 @@ def test_spectral_norm_sq_zero_matrix():
     assert spectral_norm_sq(np.zeros((3, 2))) == 0.0
 
 
+@pytest.mark.parametrize("matrix,lower", [
+    ([[2.0, -2.0], [0.1, 0.1]], 4.01),  # the all-ones start misses the top singular vector
+    ([[1.0, -1.0]], 1.0),               # the all-ones start lies in the null space
+])
+def test_spectral_norm_sq_rejects_estimate_below_column_norms(matrix, lower):
+    with pytest.raises(ValueError, match=f"largest squared column norm {lower!r}"):
+        spectral_norm_sq(np.array(matrix))
+
+
 def test_spectral_norm_sq_validates_arguments():
     with pytest.raises(ValueError):
         spectral_norm_sq(np.eye(2), tol=0.0)
