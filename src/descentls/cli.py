@@ -55,7 +55,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=0.01,
                    help="l0 regularization weight (must be > 0)")
     p.add_argument("--h-factor", type=float, default=1.01,
-                   help="step parameter h as a multiple of the ||A||^2 estimate (must be > 1)")
+                   help="step parameter h as a multiple of ||A||^2 (must be > 1)")
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--eta", type=float, default=0.5)
     p.add_argument("--cap-m", type=int, default=20)

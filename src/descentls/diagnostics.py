@@ -50,6 +50,7 @@ class CheckReport:
 class DerivedConstants:
     """Constants derived from a step certificate and the search parameters."""
 
+    lipschitz: float  # ||A||^2 with its safety factor, from which beta, b and h derive
     nu: float
     beta: float
     eta_plus: float
@@ -60,7 +61,7 @@ class DerivedConstants:
 
     def as_dict(self) -> dict:
         return {
-            "nu": self.nu, "beta": self.beta, "eta_plus": self.eta_plus,
+            "lipschitz": self.lipschitz, "nu": self.nu, "beta": self.beta, "eta_plus": self.eta_plus,
             "a": self.a, "b": self.b, "a_bar": self.a_bar, "b_bar": self.b_bar,
         }
 
@@ -91,7 +92,7 @@ def derive_constants(
         b = cert.beta + lipschitz * params.eta
         b_bar = (1.0 + params.eta) * b
     return DerivedConstants(
-        nu=cert.nu, beta=cert.beta,
+        lipschitz=lipschitz, nu=cert.nu, beta=cert.beta,
         eta_plus=0.0 if eta_plus is None else eta_plus,
         a=a, b=b, a_bar=a_bar, b_bar=b_bar,
     )

@@ -42,8 +42,8 @@ class LineSearchParams:
     cap: int = 20
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError("alpha must be positive and finite")
         if not 0 < self.eta < 1:
             raise ValueError("eta must lie in (0, 1)")
         if self.cap < 0:
@@ -60,10 +60,10 @@ class StopCriteria:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.d_tol < 0:
-            raise ValueError("d_tol must be nonnegative")
-        if self.residual_tol is not None and self.residual_tol < 0:
-            raise ValueError("residual_tol must be nonnegative")
+        if not (self.d_tol >= 0 and math.isfinite(self.d_tol)):
+            raise ValueError("d_tol must be nonnegative and finite")
+        if self.residual_tol is not None and not (self.residual_tol >= 0 and math.isfinite(self.residual_tol)):
+            raise ValueError("residual_tol must be nonnegative and finite")
         if not self.bound_guard > 0:
             raise ValueError("bound_guard must be positive")
 

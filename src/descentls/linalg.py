@@ -2,18 +2,15 @@
 
 Vectors and matrices are plain float64 numpy arrays; the helpers here
 validate shapes/finiteness and provide the handful of operations the
-solvers need, including a spectral-norm estimate used for step sizes.
+solvers need, including the exact ||A||^2 that sets step sizes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_POWER_TOL = 1e-10
-DEFAULT_POWER_ITERS = 10_000
-
-# Multiplicative margin on the spectral-norm estimate so that step-size
-# conditions of the form h > ||A||^2 survive estimation error.
+# Multiplicative margin on ||A||^2 so that step-size conditions of the
+# form h > ||A||^2 survive eigensolver rounding.
 SPECTRAL_SAFETY = 1.001
 
 
@@ -55,49 +52,18 @@ def transpose_matvec(a: np.ndarray, r: np.ndarray) -> np.ndarray:
     return a.T @ r
 
 
-def spectral_norm_sq(
-    a: np.ndarray,
-    tol: float = DEFAULT_POWER_TOL,
-    max_iters: int = DEFAULT_POWER_ITERS,
-    safety: float = SPECTRAL_SAFETY,
-) -> float:
-    """Estimate ||A||_2^2 = lambda_max(A.T A) by power iteration.
+def spectral_norm_sq(a: np.ndarray) -> float:
+    """Return ||A||_2^2 = lambda_max(A.T A), inflated by SPECTRAL_SAFETY.
 
-    Deterministic all-ones start vector; stops when the Rayleigh quotient
-    changes by a relative amount <= tol or after max_iters sweeps.  The
-    returned estimate is inflated by `safety` so that consumers relying on
-    strict inequalities against ||A||_2^2 are not bitten by estimation
-    error.  A zero matrix yields 0.0.
-
-    The largest squared column norm, ||A e_j||^2, is a rigorous lower bound
-    on ||A||_2^2.  Raises ValueError when the Rayleigh quotient falls below
-    it by more than SPECTRAL_SAFETY, which happens when the start vector is
-    (nearly) orthogonal to the top singular vector.
+    Exact: the largest eigenvalue of the smaller Gram matrix, A A.T when
+    m <= n and A.T A otherwise, which share their nonzero eigenvalues.
+    The safety factor absorbs eigensolver rounding, so the strict step-size
+    condition h > ||A||^2 holds against the true value.  Costs O(k^3) time
+    and k^2 memory for k = min(m, n).  A zero matrix yields 0.0.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     a = as_matrix(a)
-    lower = float(np.einsum("ij,ij->j", a, a).max())
-    n = a.shape[1]
-    v = np.ones(n) / np.sqrt(n)
-    lam = 0.0
-    for _ in range(max_iters):
-        w = a.T @ (a @ v)
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            break  # v is in the null space of A: lam = 0, which fails the check unless A = 0
-        lam_new = float(v @ w)
-        v = w / norm_w
-        if lam > 0 and abs(lam_new - lam) <= tol * lam_new:
-            lam = lam_new
-            break
-        lam = lam_new
-    if SPECTRAL_SAFETY * lam < lower:
-        raise ValueError(f"power iteration estimate {lam!r} of ||A||^2 is below the largest "
-                         f"squared column norm {lower!r}")
-    return safety * lam
+    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+    return SPECTRAL_SAFETY * float(np.linalg.eigvalsh(gram)[-1])
 
 
 _FMT = "%.17g"

@@ -90,6 +90,8 @@ class ProxGradientStep:
     h: float
 
     def __post_init__(self):
+        if not math.isfinite(self.h):
+            raise ValueError(f"h = {self.h} must be finite")
         if not self.h > self.prob.lipschitz:
             raise ValueError(f"h = {self.h} must exceed the Lipschitz constant {self.prob.lipschitz}")
 

@@ -7,6 +7,7 @@ import pytest
 from descentls.cli import main
 from descentls.driver import read_trace_records
 from descentls.linalg import load_matrix, load_vector, save_matrix, save_vector
+from descentls.objectives import SmoothQuadratic
 
 MICRO = ["--lambda", "1.0"]
 
@@ -61,9 +62,19 @@ def test_run_plain_writes_plain_trace(tmp_path):
     assert records[0].m_k is None and records[0].eta_k is None
 
 
-def test_usage_errors(tmp_path, micro_files):
+def test_usage_errors(tmp_path, capsys, micro_files):
     assert main(["run", "--seed", "1", "--lambda", "-1", "--out", str(tmp_path)]) == 2
     assert main(["run", "--seed", "1", "--h-factor", "1.0", "--out", str(tmp_path)]) == 2
+    # Non-finite parameters fail before any solve, so nothing is written.
+    out = tmp_path / "nonfinite"
+    for flag, value, message in [("--alpha", "inf", "alpha must be"), ("--d-tol", "nan", "d_tol must be"),
+                                 ("--d-tol", "inf", "d_tol must be"),
+                                 ("--residual-tol", "nan", "residual_tol must be"),
+                                 ("--h-factor", "inf", "h = inf must be finite")]:
+        capsys.readouterr()
+        assert main(["run", "--seed", "1", flag, value, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
     assert main(["run", "--matrix", str(micro_files / "A.csv"), "--out", str(tmp_path)]) == 2
     assert main(["run", "--matrix", str(tmp_path / "missing.csv"),
                  "--rhs", str(micro_files / "b.csv"), "--out", str(tmp_path)]) == 2
@@ -175,11 +186,18 @@ def test_verify_creates_out_dir(tmp_path):
     assert json.loads((new_dir / "verify.json").read_text())["stop_reason"] == "d_tol"
 
 
-@pytest.mark.parametrize("matrix", [[[2.0, -2.0], [0.1, 0.1]], [[1.0, -1.0]]])
-def test_run_rejects_low_spectral_estimate(tmp_path, capsys, matrix):
+@pytest.mark.parametrize("matrix,exact", [([[2.0, -2.0], [0.1, 0.1]], 8.0), ([[1.0, -1.0]], 2.0)])
+def test_run_passes_on_spectral_counterexamples(tmp_path, capsys, matrix, exact):
+    # Power iteration from the all-ones vector underestimates ||A||^2 on both matrices.
     a = np.array(matrix)
+    b = np.ones(a.shape[0])
     save_matrix(a, tmp_path / "A.csv")
-    save_vector(np.ones(a.shape[0]), tmp_path / "b.csv")
+    save_vector(b, tmp_path / "b.csv")
+    out = tmp_path / "out"
     assert main(["run", "--matrix", str(tmp_path / "A.csv"), "--rhs", str(tmp_path / "b.csv"),
-                 "--out", str(tmp_path / "out")]) == 2
-    assert "below the largest squared column norm" in capsys.readouterr().err
+                 "--out", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith(("PASS", "FAIL"))]
+    assert lines and all(line.startswith("PASS") for line in lines)
+    lipschitz = json.loads((out / "verify.json").read_text())["constants"]["lipschitz"]
+    assert lipschitz == SmoothQuadratic.from_data(a, b).lipschitz
+    assert lipschitz >= exact

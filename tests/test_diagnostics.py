@@ -178,7 +178,8 @@ def test_summarize(micro, capsys):
     reports, consts, k_stab = run_diagnostics(trace, step, PARAMS, STOP)
     payload, text = summarize(reports, consts, trace.stop_reason, k_stab)
     assert payload["stop_reason"] == "d_tol"
-    assert set(payload["constants"]) >= {"nu", "beta", "a", "b", "a_bar", "b_bar", "eta_plus"}
+    assert set(payload["constants"]) >= {"lipschitz", "nu", "beta", "a", "b", "a_bar", "b_bar", "eta_plus"}
+    assert payload["constants"]["lipschitz"] == step.objective().lipschitz
     for r in reports:
         assert r.name in payload and "PASS" in text
     with pytest.raises(ValueError):

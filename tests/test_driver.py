@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -54,6 +55,13 @@ def test_params_validation():
         LineSearchParams(cap=-1)
     with pytest.raises(ValueError):
         StopCriteria(max_iters=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            LineSearchParams(alpha=bad)
+        with pytest.raises(ValueError, match="d_tol"):
+            StopCriteria(d_tol=bad)
+        with pytest.raises(ValueError, match="residual_tol"):
+            StopCriteria(residual_tol=bad)
 
 
 def test_armijo_success_at_m0():

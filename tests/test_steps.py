@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -93,6 +95,8 @@ def test_iht_rejects_h_at_or_below_lipschitz():
         IHTStep(prob=prob, h=prob.quad.lipschitz)
     with pytest.raises(ValueError):
         IHTStep.default(prob, h_factor=1.0)
+    with pytest.raises(ValueError, match="h = inf must be finite"):
+        IHTStep.default(prob, h_factor=math.inf)
 
 
 def test_forward_backward_matches_small_gradient_step():
