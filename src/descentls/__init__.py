@@ -1,7 +1,8 @@
-"""Nonconvex descent with capped Armijo extrapolation, instantiated for
-gradient descent, forward-backward splitting, and iterative hard
-thresholding on l0-regularized least squares, with runtime verification
-of the decrease and residual inequalities the method is built on.
+"""Nonconvex descent with capped Armijo extrapolation over one
+forward-backward step, which is gradient descent on the least-squares
+loss and iterative hard thresholding on l0-regularized least squares,
+with runtime verification of the decrease and residual inequalities the
+method is built on.
 """
 
 from .diagnostics import (
@@ -40,13 +41,7 @@ from .linalg import (
     spectral_norm_sq,
     transpose_matvec,
 )
-from .objectives import L0LeastSquares, Objective, SmoothQuadratic, hard_threshold, support
-from .steps import (
-    BaseStep,
-    GradientDescentStep,
-    IHTStep,
-    ProxGradientStep,
-    StepCertificate,
-)
+from .objectives import L0LeastSquares, Objective, SmoothQuadratic, hard_threshold
+from .steps import IHTStep, ProxGradientStep, StepCertificate
 
 __version__ = "0.1.0"

@@ -32,7 +32,7 @@ from .driver import (
 from .instances import InstanceSpec, generate_instance
 from .linalg import load_matrix, load_vector, save_matrix, save_vector
 from .objectives import L0LeastSquares, SmoothQuadratic
-from .steps import ProxGradientStep
+from .steps import DEFAULT_H_FACTOR, ProxGradientStep
 
 DEFAULT_SPEC = InstanceSpec(rows=32, cols=64, sparsity=4, noise_sigma=0.01, seed=42)
 
@@ -54,16 +54,16 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", type=float, default=0.01,
                    help="l0 regularization weight (must be > 0)")
-    p.add_argument("--h-factor", type=float, default=1.01,
+    p.add_argument("--h-factor", type=float, default=DEFAULT_H_FACTOR,
                    help="step parameter h as a multiple of ||A||^2 (must be > 1)")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--eta", type=float, default=0.5)
-    p.add_argument("--cap-m", type=int, default=20)
-    p.add_argument("--max-iters", type=int, default=10_000)
-    p.add_argument("--d-tol", type=float, default=1e-10)
-    p.add_argument("--residual-tol", type=float, default=None)
-    p.add_argument("--bound-guard", type=float, default=1e12)
-    p.add_argument("--zero-tol", type=float, default=0.0,
+    p.add_argument("--alpha", type=float, default=LineSearchParams.alpha)
+    p.add_argument("--eta", type=float, default=LineSearchParams.eta)
+    p.add_argument("--cap-m", type=int, default=LineSearchParams.cap)
+    p.add_argument("--max-iters", type=int, default=StopCriteria.max_iters)
+    p.add_argument("--d-tol", type=float, default=StopCriteria.d_tol)
+    p.add_argument("--residual-tol", type=float, default=StopCriteria.residual_tol)
+    p.add_argument("--bound-guard", type=float, default=StopCriteria.bound_guard)
+    p.add_argument("--zero-tol", type=float, default=L0LeastSquares.zero_tol,
                    help="support tolerance for externally loaded vectors")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
 

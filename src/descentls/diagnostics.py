@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .driver import RunTrace, StopCriteria, LineSearchParams, StopReason
-from .steps import BaseStep, StepCertificate
+from .steps import ProxGradientStep, StepCertificate
 
 TOL = 1e-9
 
@@ -184,16 +184,17 @@ def check_support(trace: RunTrace, threshold: float) -> tuple[Optional[int], Che
 
 
 def check_cauchy(trace: RunTrace, residual_threshold: float) -> CheckReport:
-    """Empirical convergence certificate for converged runs.
+    """Empirical convergence certificate for runs that stopped on d_tol.
 
-    Verifies that the final recorded residual is below the given threshold.
-    Runs that stopped for any reason other than d_tol or residual_tol are
-    reported as inconclusive (passed, with a note).
+    Verifies that the final recorded residual is below the given threshold,
+    with the absolute TOL slack that `check_residual_bound` allows on the
+    same row.  The threshold is derived from d_tol, so runs that stopped for
+    any other reason are reported as inconclusive (passed, with a note).
     """
-    if trace.stop_reason not in (StopReason.D_TOL, StopReason.RESIDUAL_TOL):
+    if trace.stop_reason is not StopReason.D_TOL:
         return CheckReport("cauchy_tail", True, 0.0, None, residual_threshold,
                            note=f"inconclusive: stopped by {trace.stop_reason.value}")
-    slack = residual_threshold - trace.records[-1].residual
+    slack = residual_threshold + TOL - trace.records[-1].residual
     if slack < 0.0:
         return CheckReport("cauchy_tail", False, slack, len(trace.records) - 1, residual_threshold)
     return CheckReport("cauchy_tail", True, 0.0, None, residual_threshold)
@@ -228,20 +229,20 @@ def summarize(
 
 def run_diagnostics(
     trace: RunTrace,
-    step: BaseStep,
+    step: ProxGradientStep,
     params: LineSearchParams,
     stop: StopCriteria,
 ) -> tuple[list[CheckReport], DerivedConstants, Optional[int]]:
     """Run every applicable check for a completed trace of the given step."""
     cert = step.certificate()
-    obj = step.objective()
+    obj = step.prob
     lipschitz = obj.lipschitz
     consts = derive_constants(cert, params, lipschitz, eta_plus_of(trace))
     reports = [check_sufficient_decrease(trace, cert, params)]
     k_stab: Optional[int] = None
     k_start = 0
     if not obj.is_smooth:
-        # Only a prox-gradient step on an l0 objective has a non-smooth objective.
+        # The non-smooth objective is the l0 one, where the step has a hard-threshold level.
         k_stab, support_report = check_support(trace, step.threshold)
         reports.append(support_report)
         k_start = k_stab if k_stab is not None else len(trace.records)

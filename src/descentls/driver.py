@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .objectives import Objective
-from .steps import BaseStep
+from .steps import ProxGradientStep
 
 # Sentinel for a failed Armijo search (also its CSV encoding).
 ARMIJO_FAILED = -1
@@ -127,7 +127,7 @@ def armijo_search(
 
 def iterate(
     x: np.ndarray,
-    step: BaseStep,
+    step: ProxGradientStep,
     params: Optional[LineSearchParams] = None,
     k: int = 0,
 ) -> tuple[np.ndarray, IterationRecord]:
@@ -136,14 +136,14 @@ def iterate(
     With params=None the bare base step is taken: x_next = y and the
     record carries no m_k/eta_k.
     """
-    x_next, record, _ = _advance(x, step.objective().support_mask(x), step, params, k)
+    x_next, record, _ = _advance(x, step.prob.support_mask(x), step, params, k)
     return x_next, record
 
 
 def _advance(
     x: np.ndarray,
     mask: Optional[np.ndarray],
-    step: BaseStep,
+    step: ProxGradientStep,
     params: Optional[LineSearchParams],
     k: int,
 ) -> tuple[np.ndarray, IterationRecord, Optional[np.ndarray]]:
@@ -152,7 +152,7 @@ def _advance(
     `run` carries the mask from one iteration to the next, so each iterate's
     support is computed once.
     """
-    obj = step.objective()
+    obj = step.prob
     phi_x = obj.value(x)
     y = step.apply(x)
     d = y - x
@@ -194,12 +194,12 @@ def _advance(
 
 def run(
     x0: np.ndarray,
-    step: BaseStep,
+    step: ProxGradientStep,
     params: Optional[LineSearchParams],
     stop: StopCriteria,
 ) -> RunTrace:
     """Iterate until a stop criterion fires; params=None runs the bare base step."""
-    obj = step.objective()
+    obj = step.prob
     x = np.asarray(x0, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
@@ -221,7 +221,7 @@ def run(
     return RunTrace(records=records, final_x=x, stop_reason=reason, final_phi=obj.value(x))
 
 
-def run_plain(x0: np.ndarray, step: BaseStep, stop: StopCriteria) -> RunTrace:
+def run_plain(x0: np.ndarray, step: ProxGradientStep, stop: StopCriteria) -> RunTrace:
     """Run the bare base step (no line search) with the same trace machinery."""
     return run(x0, step, None, stop)
 
@@ -293,11 +293,10 @@ def validate_records(records: list[IterationRecord], params: LineSearchParams) -
     """Check structural invariants of a (possibly externally edited) trace.
 
     Raises ValueError on the first violated invariant: k contiguous from 0,
-    d_norm finite and nonnegative, support counts nonnegative, eta_k in
-    {0} union {eta^m : 0 <= m <= cap}, and eta_k = 0 exactly when the
-    search failed.
+    d_norm finite and nonnegative, support counts nonnegative, m_k in
+    0..cap with eta_k = eta^m_k exactly (the search computes it so), and
+    eta_k = 0 exactly when the search failed.
     """
-    powers = {params.eta ** m for m in range(params.cap + 1)}
     for i, r in enumerate(records):
         if r.k != i:
             raise ValueError(f"record {i} has k = {r.k}, expected {i}")
@@ -317,5 +316,5 @@ def validate_records(records: list[IterationRecord], params: LineSearchParams) -
         else:
             if not 0 <= r.m_k <= params.cap:
                 raise ValueError(f"record {i}: m_k = {r.m_k} outside 0..{params.cap}")
-            if r.eta_k not in powers:
-                raise ValueError(f"record {i}: eta_k = {r.eta_k} is not eta^m for m <= {params.cap}")
+            if r.eta_k != params.eta ** r.m_k:
+                raise ValueError(f"record {i}: eta_k = {r.eta_k} is not eta^m_k = {params.eta ** r.m_k}")

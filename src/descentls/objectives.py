@@ -7,7 +7,8 @@ the norm of the smooth gradient restricted to the support of x, because
 zero coordinates of the counting regularizer contribute the whole real
 line to the subdifferential.  `grad` (of f) and `prox` (of g) are what a
 proximal-gradient step needs; `lipschitz` is the gradient-Lipschitz
-constant of f.
+constant of f, and `nu(h)` is the sufficient-decrease constant of that
+step with parameter h, positive exactly for the admissible h.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ class Objective(Protocol):
 
     def prox(self, z: np.ndarray, h: float) -> np.ndarray: ...
 
+    def nu(self, h: float) -> float:
+        """Decrease constant of a prox-gradient step with parameter h."""
+        ...
+
     def support_mask(self, x: np.ndarray) -> Optional[np.ndarray]:
         """Boolean mask of the support of x; None when the objective is smooth."""
         ...
@@ -56,18 +61,6 @@ def hard_threshold(t, lam: float, h: float):
         return t if abs(t) >= thresh else 0.0
     t = np.asarray(t, dtype=np.float64)
     return np.where(np.abs(t) >= thresh, t, 0.0)
-
-
-def support(x: np.ndarray, zero_tol: float = 0.0) -> np.ndarray:
-    """Indices i with |x_i| > zero_tol (0-based, sorted).
-
-    The default exact-zero test is correct for iterates produced by hard
-    thresholding, which writes exact zeros; pass a positive tolerance for
-    externally loaded vectors.
-    """
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
-    return np.flatnonzero(np.abs(x) > zero_tol)
 
 
 @dataclass(frozen=True)
@@ -101,6 +94,10 @@ class SmoothQuadratic:
         """The prox of the zero regularizer: the identity."""
         return z
 
+    def nu(self, h: float) -> float:
+        """h - L/2, from the descent lemma; admits h > L/2."""
+        return h - self.lipschitz / 2.0
+
     def support_mask(self, x: np.ndarray) -> None:
         return None
 
@@ -117,8 +114,8 @@ class L0LeastSquares:
     def __post_init__(self):
         if not (self.lam > 0 and np.isfinite(self.lam)):
             raise ValueError("lam must be positive and finite")
-        if self.zero_tol < 0:
-            raise ValueError("zero_tol must be nonnegative")
+        if not (self.zero_tol >= 0 and math.isfinite(self.zero_tol)):
+            raise ValueError("zero_tol must be nonnegative and finite")
 
     @property
     def lipschitz(self) -> float:
@@ -133,7 +130,16 @@ class L0LeastSquares:
     def prox(self, z: np.ndarray, h: float) -> np.ndarray:
         return hard_threshold(z, self.lam, h)
 
+    def nu(self, h: float) -> float:
+        """(h - L)/2, the forward-backward constant for a nonconvex prox; admits h > L."""
+        return (h - self.lipschitz) / 2.0
+
     def support_mask(self, x: np.ndarray) -> np.ndarray:
+        """|x_i| > zero_tol.
+
+        The default exact-zero test suits iterates of hard thresholding, which
+        writes exact zeros; a positive tolerance suits externally loaded vectors.
+        """
         return np.abs(x) > self.zero_tol
 
     def residual(self, x: np.ndarray) -> float:

@@ -62,6 +62,21 @@ def test_run_plain_writes_plain_trace(tmp_path):
     assert records[0].m_k is None and records[0].eta_k is None
 
 
+@pytest.mark.parametrize("flags, stop, note", [
+    (["--residual-tol", "1e-3"], "residual_tol", "inconclusive: stopped by residual_tol"),
+    (["--d-tol", "0"], "d_tol", None),
+], ids=["residual-tol", "d-tol-0"])
+def test_run_passes_cauchy_tail_on_correct_runs(tmp_path, capsys, flags, stop, note):
+    # A residual_tol stop is inconclusive for cauchy_tail; a d_tol = 0 stop
+    # leaves only a rounding-level residual, inside the check's slack.
+    out = tmp_path / "run"
+    assert main(["run", "--seed", "42", *flags, "--out", str(out)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    report = json.loads((out / "verify.json").read_text())
+    assert report["stop_reason"] == stop
+    assert report["cauchy_tail"]["passed"] and report["cauchy_tail"].get("note") == note
+
+
 def test_usage_errors(tmp_path, capsys, micro_files):
     assert main(["run", "--seed", "1", "--lambda", "-1", "--out", str(tmp_path)]) == 2
     assert main(["run", "--seed", "1", "--h-factor", "1.0", "--out", str(tmp_path)]) == 2
@@ -70,7 +85,9 @@ def test_usage_errors(tmp_path, capsys, micro_files):
     for flag, value, message in [("--alpha", "inf", "alpha must be"), ("--d-tol", "nan", "d_tol must be"),
                                  ("--d-tol", "inf", "d_tol must be"),
                                  ("--residual-tol", "nan", "residual_tol must be"),
-                                 ("--h-factor", "inf", "h = inf must be finite")]:
+                                 ("--h-factor", "inf", "h = inf must be finite"),
+                                 ("--zero-tol", "nan", "zero_tol must be"),
+                                 ("--zero-tol", "inf", "zero_tol must be")]:
         capsys.readouterr()
         assert main(["run", "--seed", "1", flag, value, "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err

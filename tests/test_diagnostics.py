@@ -16,7 +16,7 @@ from descentls.diagnostics import (
 from descentls.driver import LineSearchParams, StopCriteria, StopReason, run, run_plain
 from descentls.instances import InstanceSpec, generate_instance
 from descentls.objectives import L0LeastSquares, SmoothQuadratic
-from descentls.steps import GradientDescentStep, IHTStep
+from descentls.steps import IHTStep, ProxGradientStep
 
 PARAMS = LineSearchParams()
 STOP = StopCriteria()
@@ -84,7 +84,7 @@ def test_residual_bound_micro(micro):
 def test_residual_bound_gradient_descent():
     rng = np.random.default_rng(4)
     quad = SmoothQuadratic.from_data(rng.standard_normal((6, 6)), rng.standard_normal(6))
-    gd = GradientDescentStep.default(quad)
+    gd = ProxGradientStep(prob=quad, h=quad.lipschitz)
     trace = run(np.zeros(6), gd, PARAMS, STOP)
     report = check_residual_bound(trace, gd.certificate(), PARAMS, quad.lipschitz)
     assert report.passed
@@ -134,14 +134,23 @@ def test_check_cauchy_converged(micro):
     _, trace = micro
     report = check_cauchy(trace, residual_threshold=1e-6)
     assert report.passed and not report.note
+    # A rounding-level final residual passes a tiny threshold (d_tol = 0):
+    # the slack is TOL, as in residual_bound, and no more.
+    rounded = copy.deepcopy(trace)
+    for residual, passed in ((6e-16, True), (2e-9, False)):
+        rounded.records[-1].residual = residual
+        assert check_cauchy(rounded, residual_threshold=1e-298).passed is passed
 
 
 def test_check_cauchy_inconclusive(micro):
+    # The threshold derives from d_tol; any other stop says nothing about it.
     step, _ = micro
-    trace = run_plain(np.zeros(2), step, StopCriteria(max_iters=3, d_tol=0.0))
-    assert trace.stop_reason is StopReason.MAX_ITERS
-    report = check_cauchy(trace, residual_threshold=1e-6)
-    assert report.passed and "inconclusive" in report.note
+    for stop, reason in ((StopCriteria(max_iters=3, d_tol=0.0), StopReason.MAX_ITERS),
+                         (StopCriteria(residual_tol=1e-3), StopReason.RESIDUAL_TOL)):
+        trace = run_plain(np.zeros(2), step, stop)
+        assert trace.stop_reason is reason and trace.records[-1].residual > 1e-6
+        report = check_cauchy(trace, residual_threshold=1e-6)
+        assert report.passed and report.note == f"inconclusive: stopped by {reason.value}"
 
 
 def test_check_cauchy_flags_large_final_residual(micro):
@@ -159,6 +168,15 @@ def test_run_diagnostics_all_pass(seeded):
     assert k_stab is not None
     names = {r.name for r in reports}
     assert names == {"sufficient_decrease", "support_stabilization", "residual_bound", "cauchy_tail"}
+    # A residual_tol stop, and a d_tol = 0 stop that leaves a rounding-level
+    # residual, are correct runs too, with and without the search.
+    for stop, reason in ((StopCriteria(residual_tol=1e-3), StopReason.RESIDUAL_TOL),
+                         (StopCriteria(d_tol=0.0), StopReason.D_TOL)):
+        for params in (PARAMS, None):
+            other = run(np.zeros(32), step, params, stop)
+            assert other.stop_reason is reason and other.records[-1].residual > 0.0
+            reports, _, _ = run_diagnostics(other, step, PARAMS, stop)
+            assert all(r.passed for r in reports), (stop, params)
 
 
 def test_single_field_corruptions_are_caught(seeded):
@@ -179,7 +197,7 @@ def test_summarize(micro, capsys):
     payload, text = summarize(reports, consts, trace.stop_reason, k_stab)
     assert payload["stop_reason"] == "d_tol"
     assert set(payload["constants"]) >= {"lipschitz", "nu", "beta", "a", "b", "a_bar", "b_bar", "eta_plus"}
-    assert payload["constants"]["lipschitz"] == step.objective().lipschitz
+    assert payload["constants"]["lipschitz"] == step.prob.lipschitz
     for r in reports:
         assert r.name in payload and "PASS" in text
     with pytest.raises(ValueError):

@@ -19,8 +19,8 @@ from descentls.driver import (
     write_trace,
 )
 from descentls.instances import InstanceSpec, generate_instance
-from descentls.objectives import L0LeastSquares, SmoothQuadratic, support
-from descentls.steps import GradientDescentStep, IHTStep, ProxGradientStep
+from descentls.objectives import L0LeastSquares, SmoothQuadratic
+from descentls.steps import IHTStep, ProxGradientStep
 
 PARAMS = LineSearchParams(alpha=0.1, eta=0.5, cap=10)
 
@@ -125,7 +125,7 @@ def test_failed_search_advances_to_y():
     # At the exact minimizer of a smooth quadratic shifted by one gradient
     # step, extrapolation can't decrease; the run must continue at y.
     quad = scalar_quadratic()
-    gd = GradientDescentStep(quad=quad, tau=1.0 / quad.lipschitz)
+    gd = ProxGradientStep(prob=quad, h=quad.lipschitz)
     x = np.array([1.0])
     y = gd.apply(x)
     m, eta_k = armijo_search(quad, y, y - x, LineSearchParams(alpha=5.0, eta=0.5, cap=5))
@@ -193,7 +193,7 @@ def test_run_matches_iterate_and_support_sets(params):
     for k, recorded in enumerate(trace.records):
         x_next, record = iterate(x, step, params, k)
         assert record == recorded
-        before, after = set(support(x).tolist()), set(support(x_next).tolist())
+        before, after = (set(np.flatnonzero(prob.support_mask(v)).tolist()) for v in (x, x_next))
         assert record.support_size == len(after)
         assert record.support_entered == len(after - before)
         assert record.support_left == len(before - after)
@@ -213,14 +213,13 @@ def test_unbounded_guard():
     quad = scalar_quadratic()
 
     class DivergingStep:
+        prob = quad
+
         def apply(self, x):
             return 2.0 * x + 1.0
 
         def certificate(self):
-            return GradientDescentStep.default(quad).certificate()
-
-        def objective(self):
-            return quad
+            return ProxGradientStep(prob=quad, h=quad.lipschitz).certificate()
 
     trace = run_plain(np.array([1.0]), DivergingStep(), StopCriteria(bound_guard=1e3))
     assert trace.stop_reason is StopReason.UNBOUNDED_GUARD
@@ -258,4 +257,8 @@ def test_validate_records():
     bad = [r for r in trace.records]
     bad[0].eta_k = 2.0
     with pytest.raises(ValueError):
+        validate_records(bad, PARAMS)
+    # Both are powers of eta, but eta_k must be eta^m_k on its own row.
+    bad[0].m_k, bad[0].eta_k = 1, 0.25
+    with pytest.raises(ValueError, match="record 0: eta_k = 0.25 is not eta"):
         validate_records(bad, PARAMS)

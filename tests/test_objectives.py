@@ -3,7 +3,7 @@ import pytest
 
 from descentls.instances import InstanceSpec, generate_instance
 from descentls.linalg import DimensionMismatch
-from descentls.objectives import L0LeastSquares, Objective, SmoothQuadratic, support
+from descentls.objectives import L0LeastSquares, Objective, SmoothQuadratic
 from descentls.steps import IHTStep
 
 
@@ -41,13 +41,17 @@ def test_eval_l0_examples(identity_problem):
     assert p.value(np.array([1.5, 0.0])) == 2.25
 
 
-def test_support_examples():
-    assert support(np.array([1.5, 0.0])).tolist() == [0]
-    assert support(np.zeros(2)).tolist() == []
-    assert support(np.array([3.0, 0.5])).tolist() == [0, 1]
-    assert support(np.array([0.05, 2.0]), zero_tol=0.1).tolist() == [1]
-    with pytest.raises(ValueError):
-        support(np.zeros(2), zero_tol=-1.0)
+def test_support_examples(identity_problem):
+    p = identity_problem
+    np.testing.assert_array_equal(p.support_mask(np.array([1.5, 0.0])), [True, False])
+    np.testing.assert_array_equal(p.support_mask(np.zeros(2)), [False, False])
+    np.testing.assert_array_equal(p.support_mask(np.array([3.0, 0.5])), [True, True])
+    tolerant = L0LeastSquares(quad=p.quad, lam=1.0, zero_tol=0.1)
+    np.testing.assert_array_equal(tolerant.support_mask(np.array([0.05, 2.0])), [False, True])
+    assert p.quad.support_mask(np.array([1.5, 0.0])) is None
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="zero_tol"):
+            L0LeastSquares(quad=p.quad, lam=1.0, zero_tol=bad)
 
 
 def test_residual_l0_examples(identity_problem):

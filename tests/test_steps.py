@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from descentls.instances import InstanceSpec, generate_instance
 from descentls.objectives import L0LeastSquares, SmoothQuadratic, hard_threshold
-from descentls.steps import GradientDescentStep, IHTStep, ProxGradientStep, StepCertificate
+from descentls.steps import IHTStep, ProxGradientStep, StepCertificate
 
 
 def make_problem(seed=1, lam=0.01, rows=16, cols=32, sparsity=3, noise=0.01):
@@ -60,18 +60,22 @@ def test_iht_apply_worked_examples():
 
 def test_gd_apply_examples():
     scalar = SmoothQuadratic.from_data(np.array([[1.0]]), np.array([0.0]))
-    gd = GradientDescentStep(quad=scalar, tau=0.5)
+    gd = ProxGradientStep(prob=scalar, h=2.0)
     assert gd.apply(np.array([1.0]))[0] == 0.5
     assert gd.apply(np.array([0.0]))[0] == 0.0
     quad = SmoothQuadratic.from_data(np.eye(2), np.array([3.0, 0.5]))
-    gd2 = GradientDescentStep(quad=quad, tau=1.0)
+    gd2 = ProxGradientStep(prob=quad, h=1.0)
     np.testing.assert_array_equal(gd2.apply(np.zeros(2)), [3.0, 0.5])
 
 
 def test_gd_step_size_bound():
+    # A smooth objective admits exactly h > L/2 (step 1/h < 2/L), L ~ 1.001 here.
     quad = SmoothQuadratic.from_data(np.eye(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        GradientDescentStep(quad=quad, tau=3.0)  # 2/L with L ~ 1.001
+    L = quad.lipschitz
+    for h in (L / 2.0, 1 / 3.0, 0.0, -1.0):
+        with pytest.raises(ValueError, match="nu"):
+            ProxGradientStep(prob=quad, h=h)
+    assert ProxGradientStep(prob=quad, h=0.51 * L).certificate().nu == 0.51 * L - L / 2.0
 
 
 def test_certificate_iht_formulas():
@@ -101,12 +105,14 @@ def test_iht_rejects_h_at_or_below_lipschitz():
 
 def test_forward_backward_matches_small_gradient_step():
     quad = SmoothQuadratic.from_data(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([1.0, 2.0]))
-    fb = ProxGradientStep(prob=quad, h=2.0 * quad.lipschitz)
-    gd = GradientDescentStep(quad=quad, tau=1.0 / (2.0 * quad.lipschitz))
+    h = 2.0 * quad.lipschitz
+    fb = ProxGradientStep(prob=quad, h=h)
     x = np.array([0.3, -0.7])
-    np.testing.assert_allclose(fb.apply(x), gd.apply(x), rtol=1e-15)
+    np.testing.assert_allclose(fb.apply(x), x - (1.0 / h) * quad.grad(x), rtol=1e-15)
     cert = fb.certificate()
-    assert cert.nu == pytest.approx(quad.lipschitz / 2.0)
+    # Descent-lemma constant h - L/2, sharper than the l0 constant (h - L)/2.
+    assert cert.nu == pytest.approx(h - quad.lipschitz / 2.0)
+    assert cert.beta == h + quad.lipschitz
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
@@ -128,10 +134,11 @@ def test_decrease_and_relative_error_certificates(seed):
         x = y
 
 
-def test_gd_certificate_holds_on_iterates():
+@pytest.mark.parametrize("h_over_L", [0.51, 1.0, 2.0])
+def test_gd_certificate_holds_on_iterates(h_over_L):
     rng = np.random.default_rng(2)
     quad = SmoothQuadratic.from_data(rng.standard_normal((8, 8)), rng.standard_normal(8))
-    gd = GradientDescentStep.default(quad)
+    gd = ProxGradientStep(prob=quad, h=h_over_L * quad.lipschitz)
     nu, beta = gd.certificate().nu, gd.certificate().beta
     x = np.zeros(8)
     for _ in range(100):
