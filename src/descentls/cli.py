@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -170,6 +171,8 @@ def cmd_run(args, plain: bool = False) -> int:
 
 
 def cmd_compare(args) -> int:
+    if not (args.compare_tol >= 0 and math.isfinite(args.compare_tol)):
+        raise ValueError("--compare-tol must be nonnegative and finite")
     problem = _build_problem(args)
     args.out.mkdir(parents=True, exist_ok=True)
     plain_trace = run_plain(problem.x0, problem.step, problem.stop)

@@ -9,6 +9,13 @@ and extrapolates x_next = x + (eta_m + 1) d.  A failed search (no feasible
 m up to the cap) sets eta = 0, so x_next = y and the run continues: failure
 is a valid outcome, not termination.  Without search parameters the same
 loop iterates the bare base step (x_next = y) for comparison.
+
+The gradient of x_next, which the row's residual needs, is kept for the
+next iteration's base step, so each iteration evaluates the gradient once.
+With the search, an iteration costs 3 + trials products with A and 1 with
+A.T: Phi(x), Phi(y), one Phi per Armijo trial, and grad(x_next).  A plain
+iteration costs 3 and 1.  A run adds grad(x0) and the final Phi, so it
+makes 3 * iters + trials + 2 products with A and iters + 1 with A.T.
 """
 
 from __future__ import annotations
@@ -111,7 +118,9 @@ def armijo_search(
     Returns (m, eta**m), or (ARMIJO_FAILED, 0.0) when no m up to the cap
     works.  At most cap + 1 objective evaluations; pass phi_y to reuse a
     cached value of Phi(y).  The comparison is exact floating point, no
-    slack.
+    slack.  A nonzero d whose accepted trial point equals y (t * d vanished
+    against y, as it does for every larger m too) is a failure: the test
+    then held only because nothing moved.
     """
     if y.shape != d.shape:
         raise ValueError("y and d must have the same length")
@@ -120,7 +129,10 @@ def armijo_search(
     d_sq = float(d @ d)
     for m in range(params.cap + 1):
         t = params.eta ** m
-        if obj.value(y + t * d) <= phi_y - params.alpha * t * d_sq:
+        trial = y + t * d
+        if obj.value(trial) <= phi_y - params.alpha * t * d_sq:
+            if np.array_equal(trial, y) and d.any():
+                return ARMIJO_FAILED, 0.0
             return m, t
     return ARMIJO_FAILED, 0.0
 
@@ -136,25 +148,27 @@ def iterate(
     With params=None the bare base step is taken: x_next = y and the
     record carries no m_k/eta_k.
     """
-    x_next, record, _ = _advance(x, step.prob.support_mask(x), step, params, k)
+    obj = step.prob
+    x_next, record, _, _ = _advance(x, obj.support_mask(x), obj.grad(x), step, params, k)
     return x_next, record
 
 
 def _advance(
     x: np.ndarray,
     mask: Optional[np.ndarray],
+    g: np.ndarray,
     step: ProxGradientStep,
     params: Optional[LineSearchParams],
     k: int,
-) -> tuple[np.ndarray, IterationRecord, Optional[np.ndarray]]:
-    """`iterate` given the support mask of x; also returns the mask of x_next.
+) -> tuple[np.ndarray, IterationRecord, Optional[np.ndarray], np.ndarray]:
+    """`iterate` given the support mask and gradient of x; also returns those of x_next.
 
-    `run` carries the mask from one iteration to the next, so each iterate's
-    support is computed once.
+    `run` carries both from one iteration to the next, so each iterate's
+    support and gradient are computed once.
     """
     obj = step.prob
     phi_x = obj.value(x)
-    y = step.apply(x)
+    y = step.apply_grad(x, g)
     d = y - x
     d_norm = float(np.linalg.norm(d))
     phi_y = obj.value(y)
@@ -170,6 +184,7 @@ def _advance(
     else:
         m_k, eta_k = armijo_search(obj, y, d, params, phi_y=phi_y)
         x_next = x + (eta_k + 1.0) * d
+    g_next = obj.grad(x_next)
     mask_next = obj.support_mask(x_next)
     if mask_next is None:
         size = entered = left = None
@@ -184,12 +199,12 @@ def _advance(
         d_norm=d_norm,
         m_k=m_k,
         eta_k=eta_k,
-        residual=obj.residual(x_next),
+        residual=obj.residual_from_grad(g_next, mask_next),
         support_size=size,
         support_entered=entered,
         support_left=left,
     )
-    return x_next, record, mask_next
+    return x_next, record, mask_next, g_next
 
 
 def run(
@@ -204,10 +219,11 @@ def run(
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
     mask = obj.support_mask(x)
+    g = obj.grad(x)
     records: list[IterationRecord] = []
     reason = StopReason.MAX_ITERS
     for k in range(stop.max_iters):
-        x, record, mask = _advance(x, mask, step, params, k)
+        x, record, mask, g = _advance(x, mask, g, step, params, k)
         records.append(record)
         if record.d_norm <= stop.d_tol:
             reason = StopReason.D_TOL

@@ -5,10 +5,12 @@ Both objectives are Phi = f + g with f = 1/2 ||b - A x||^2.  They expose
 the (sub)differential at x.  For the l0 objective this has a closed form:
 the norm of the smooth gradient restricted to the support of x, because
 zero coordinates of the counting regularizer contribute the whole real
-line to the subdifferential.  `grad` (of f) and `prox` (of g) are what a
-proximal-gradient step needs; `lipschitz` is the gradient-Lipschitz
-constant of f, and `nu(h)` is the sufficient-decrease constant of that
-step with parameter h, positive exactly for the admissible h.
+line to the subdifferential.  `residual_from_grad(g, mask)` is the same
+quantity from a gradient and support mask the caller already holds.
+`grad` (of f) and `prox` (of g) are what a proximal-gradient step needs;
+`lipschitz` is the gradient-Lipschitz constant of f, and `nu(h)` is the
+sufficient-decrease constant of that step with parameter h, positive
+exactly for the admissible h.
 """
 
 from __future__ import annotations
@@ -24,7 +26,14 @@ from .linalg import as_matrix, as_vector, matvec, spectral_norm_sq, transpose_ma
 
 @runtime_checkable
 class Objective(Protocol):
-    """Behavior contract shared by all objectives."""
+    """Behavior contract shared by all objectives.
+
+    Cost in products with A: `value` makes one with A, `grad` one with A
+    and one with A.T, `residual` calls `grad`, and `residual_from_grad`,
+    `prox`, `nu` and `support_mask` make none.  A solver iteration
+    therefore costs 3 products with A and 1 with A.T without the search,
+    and 3 + trials with A and 1 with A.T with it (see `driver`).
+    """
 
     is_smooth: bool
     lipschitz: float
@@ -32,6 +41,10 @@ class Objective(Protocol):
     def value(self, x: np.ndarray) -> float: ...
 
     def residual(self, x: np.ndarray) -> float: ...
+
+    def residual_from_grad(self, g: np.ndarray, mask: Optional[np.ndarray]) -> float:
+        """`residual(x)` given g = grad(x) and mask = support_mask(x); no product with A."""
+        ...
 
     def grad(self, x: np.ndarray) -> np.ndarray: ...
 
@@ -88,7 +101,10 @@ class SmoothQuadratic:
         return transpose_matvec(self.A, matvec(self.A, x) - self.b)
 
     def residual(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.grad(x)))
+        return self.residual_from_grad(self.grad(x), None)
+
+    def residual_from_grad(self, g: np.ndarray, mask: None) -> float:
+        return float(np.linalg.norm(g))
 
     def prox(self, z: np.ndarray, h: float) -> np.ndarray:
         """The prox of the zero regularizer: the identity."""
@@ -143,8 +159,8 @@ class L0LeastSquares:
         return np.abs(x) > self.zero_tol
 
     def residual(self, x: np.ndarray) -> float:
-        mask = self.support_mask(x)
-        if not mask.any():
-            return 0.0
-        g = self.quad.grad(x)
+        return self.residual_from_grad(self.grad(x), self.support_mask(x))
+
+    def residual_from_grad(self, g: np.ndarray, mask: np.ndarray) -> float:
+        """The norm of g on the support; 0.0 on an empty support."""
         return float(np.linalg.norm(g[mask]))

@@ -67,7 +67,11 @@ class ProxGradientStep:
         return math.sqrt(2.0 * self.prob.lam / self.h)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.prob.prox(x - self.prob.grad(x) / self.h, self.h)
+        return self.apply_grad(x, self.prob.grad(x))
+
+    def apply_grad(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The step from x given g = grad f(x); no product with A."""
+        return self.prob.prox(x - g / self.h, self.h)
 
     def certificate(self) -> StepCertificate:
         return StepCertificate(nu=self.prob.nu(self.h), beta=self.h + self.prob.lipschitz)

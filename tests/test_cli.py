@@ -91,6 +91,10 @@ def test_usage_errors(tmp_path, capsys, micro_files):
         capsys.readouterr()
         assert main(["run", "--seed", "1", flag, value, "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+    for value in ("nan", "-1"):
+        capsys.readouterr()
+        assert main(["compare", "--seed", "1", "--compare-tol", value, "--out", str(out)]) == 2
+        assert "error: --compare-tol must be nonnegative and finite" in capsys.readouterr().err
     assert not out.exists()
     assert main(["run", "--matrix", str(micro_files / "A.csv"), "--out", str(tmp_path)]) == 2
     assert main(["run", "--matrix", str(tmp_path / "missing.csv"),
@@ -171,6 +175,20 @@ def test_verify_catches_corruption(tmp_path, capsys, row, edits, expected):
     assert main(["verify", "--seed", "9", "--trace", str(out / "trace.csv"),
                  "--out", str(out)]) == 1
     assert expected + ":" in capsys.readouterr().out
+
+
+def test_run_records_vanished_trial_steps_as_failed_searches(tmp_path, capsys):
+    # At cap 2000 the trial step eta^m d underflows against y near m = 1070;
+    # such a trial is y itself and must not count as an accepted search.
+    out = tmp_path / "cap"
+    flags = ["--seed", "9", "--cap-m", "2000"]
+    assert main(["run", *flags, "--out", str(out)]) == 0
+    records = read_trace_records(out / "trace.csv")
+    assert max(r.m_k for r in records) <= 20
+    assert sum(r.m_k == -1 for r in records) > 0
+    capsys.readouterr()
+    assert main(["verify", *flags, "--trace", str(out / "trace.csv"), "--out", str(out)]) == 0
+    assert "PASS trace_integrity" in capsys.readouterr().out
 
 
 def test_verify_rejects_negative_d_norm(tmp_path, capsys):

@@ -88,6 +88,16 @@ def test_armijo_zero_direction():
     assert (m, eta_k) == (0, 1.0)
 
 
+def test_armijo_fails_when_trial_point_equals_y():
+    # t * d is below half an ulp of y, so y + t*d == y for every m: Phi does
+    # not move and the test holds with equality once alpha*t*||d||^2 underflows.
+    obj = scalar_quadratic()
+    y, d = np.array([1.0]), np.array([1e-300])
+    params = LineSearchParams(alpha=0.1, eta=0.5, cap=100)
+    assert brute_force_armijo(obj, y, d, params)[0] != ARMIJO_FAILED
+    assert armijo_search(obj, y, d, params) == (ARMIJO_FAILED, 0.0)
+
+
 @pytest.mark.parametrize("seed", range(30))
 def test_armijo_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
@@ -215,7 +225,7 @@ def test_unbounded_guard():
     class DivergingStep:
         prob = quad
 
-        def apply(self, x):
+        def apply_grad(self, x, g):
             return 2.0 * x + 1.0
 
         def certificate(self):

@@ -39,3 +39,6 @@ def test_traced_solve_matches_untraced(perfbench, variant):
     assert (searches > 0) == (variant == "search")
     # phi_x and phi_y per iteration, every Armijo trial, and final_phi.
     assert counts["value"] == 2 * len(traced.records) + trials + 1
+    # Those evaluations plus one gradient per iterate, x0 included.
+    assert counts["A"] == 3 * len(traced.records) + trials + 2
+    assert counts["AT"] == len(traced.records) + 1
