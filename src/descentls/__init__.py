@@ -42,6 +42,6 @@ from .linalg import (
     transpose_matvec,
 )
 from .objectives import L0LeastSquares, Objective, SmoothQuadratic, hard_threshold
-from .steps import IHTStep, ProxGradientStep, StepCertificate
+from .steps import IHTStep, ProxGradientStep
 
 __version__ = "0.1.0"

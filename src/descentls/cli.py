@@ -115,10 +115,6 @@ def _build_problem(args) -> Problem:
         spec = InstanceSpec(rows=args.rows, cols=args.cols, sparsity=args.sparsity,
                             noise_sigma=args.noise, seed=args.seed)
         a, b, _ = generate_instance(spec)
-    if args.lam <= 0:
-        raise ValueError("--lambda must be positive")
-    if args.h_factor <= 1:
-        raise ValueError("--h-factor must be > 1")
     quad = SmoothQuadratic.from_data(a, b)
     prob = L0LeastSquares(quad=quad, lam=args.lam, zero_tol=args.zero_tol)
     step = ProxGradientStep.default(prob, h_factor=args.h_factor)

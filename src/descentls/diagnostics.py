@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .driver import RunTrace, StopCriteria, LineSearchParams, StopReason
-from .steps import ProxGradientStep, StepCertificate
+from .steps import ProxGradientStep
 
 TOL = 1e-9
 
@@ -48,54 +48,33 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Constants derived from a step certificate and the search parameters."""
+    """The constants the checks test, derived once per trace by `derive_constants`."""
 
-    lipschitz: float  # ||A||^2 with its safety factor, from which beta, b and h derive
-    nu: float
-    beta: float
-    eta_plus: float
-    a: float        # nu + alpha * eta_plus
-    b: float        # beta + L * eta
-    a_bar: float    # a / (1 + eta)
-    b_bar: float    # (1 + eta) * b
-
-    def as_dict(self) -> dict:
-        return {
-            "lipschitz": self.lipschitz, "nu": self.nu, "beta": self.beta, "eta_plus": self.eta_plus,
-            "a": self.a, "b": self.b, "a_bar": self.a_bar, "b_bar": self.b_bar,
-        }
+    lipschitz: float  # L = ||A||^2 with its safety factor
+    nu: float         # nu(h), from the objective
+    beta: float       # h + L
+    eta_plus: float   # smallest recorded eta_k, zeros included; 0 on a plain run
+    a: float          # nu + alpha * eta_plus
+    b: float          # beta + L * eta
+    a_bar: float      # a / (1 + eta)
+    b_bar: float      # (1 + eta) * b
 
 
-def eta_plus_of(trace: RunTrace) -> Optional[float]:
-    """Minimum recorded extrapolation factor (zeros included); None on plain runs."""
+def derive_constants(step: ProxGradientStep, params: LineSearchParams, trace: RunTrace) -> DerivedConstants:
+    """The decrease and residual constants for a trace of the given step and search."""
+    lipschitz = step.prob.lipschitz
+    nu = step.prob.nu(step.h)
+    beta = step.h + lipschitz
     etas = [r.eta_k for r in trace.records if r.eta_k is not None]
     if not etas:
-        return None
-    return min(etas)
-
-
-def derive_constants(
-    cert: StepCertificate,
-    params: LineSearchParams,
-    lipschitz: float,
-    eta_plus: Optional[float],
-) -> DerivedConstants:
-    if eta_plus is None:
         # Plain run: no extrapolation term, decrease rests on nu alone.
-        a = cert.nu
-        a_bar = cert.nu
-        b = cert.beta
-        b_bar = cert.beta
-    else:
-        a = cert.nu + params.alpha * eta_plus
-        a_bar = a / (1.0 + params.eta)
-        b = cert.beta + lipschitz * params.eta
-        b_bar = (1.0 + params.eta) * b
-    return DerivedConstants(
-        lipschitz=lipschitz, nu=cert.nu, beta=cert.beta,
-        eta_plus=0.0 if eta_plus is None else eta_plus,
-        a=a, b=b, a_bar=a_bar, b_bar=b_bar,
-    )
+        return DerivedConstants(lipschitz=lipschitz, nu=nu, beta=beta, eta_plus=0.0,
+                                a=nu, b=beta, a_bar=nu, b_bar=beta)
+    eta_plus = min(etas)
+    a = nu + params.alpha * eta_plus
+    b = beta + lipschitz * params.eta
+    return DerivedConstants(lipschitz=lipschitz, nu=nu, beta=beta, eta_plus=eta_plus,
+                            a=a, b=b, a_bar=a / (1.0 + params.eta), b_bar=(1.0 + params.eta) * b)
 
 
 def _phi_next(trace: RunTrace, k: int) -> float:
@@ -104,54 +83,40 @@ def _phi_next(trace: RunTrace, k: int) -> float:
     return trace.final_phi
 
 
-def check_sufficient_decrease(
-    trace: RunTrace,
-    cert: StepCertificate,
-    params: LineSearchParams,
-) -> CheckReport:
+def check_sufficient_decrease(trace: RunTrace, a: float) -> CheckReport:
     """Per-iteration decrease Phi(x^k) - Phi(x^{k+1}) >= a*||d^k||^2."""
     if not trace.records:
         raise ValueError("trace is empty")
-    # a does not depend on the Lipschitz constant.
-    consts = derive_constants(cert, params, 0.0, eta_plus_of(trace))
     worst = math.inf
     worst_at = None
     for k, r in enumerate(trace.records):
         drop = r.phi_x - _phi_next(trace, k)
         tol_k = TOL * max(1.0, abs(r.phi_x))
-        slack = drop - consts.a * r.d_norm ** 2
+        slack = drop - a * r.d_norm ** 2
         if slack < worst:
             worst, worst_at = slack, k
         if slack < -tol_k:
-            return CheckReport("sufficient_decrease", False, slack, k, consts.a)
-    return CheckReport("sufficient_decrease", True, min(worst, 0.0) if worst < 0 else 0.0,
-                       worst_at, consts.a)
+            return CheckReport("sufficient_decrease", False, slack, k, a)
+    return CheckReport("sufficient_decrease", True, min(worst, 0.0) if worst < 0 else 0.0, worst_at, a)
 
 
-def check_residual_bound(
-    trace: RunTrace,
-    cert: StepCertificate,
-    params: LineSearchParams,
-    lipschitz: float,
-    k_start: int = 0,
-) -> CheckReport:
+def check_residual_bound(trace: RunTrace, b: float, k_start: int = 0) -> CheckReport:
     """residual_k = dist(0, dPhi(x^{k+1})) <= b*||d^k|| for k >= k_start.
 
     For l0 objectives the bound is asymptotic: pass the support
     stabilization index as k_start; smooth objectives use k_start = 0.
     An empty range passes vacuously.
     """
-    consts = derive_constants(cert, params, lipschitz, eta_plus_of(trace))
     worst = 0.0
     worst_at = None
     for k in range(k_start, len(trace.records)):
         r = trace.records[k]
-        slack = consts.b * r.d_norm + TOL - r.residual
+        slack = b * r.d_norm + TOL - r.residual
         if slack < worst:
             worst, worst_at = slack, k
         if slack < 0.0:
-            return CheckReport("residual_bound", False, slack, k, consts.b)
-    return CheckReport("residual_bound", True, worst, worst_at, consts.b)
+            return CheckReport("residual_bound", False, slack, k, b)
+    return CheckReport("residual_bound", True, worst, worst_at, b)
 
 
 def check_support(trace: RunTrace, threshold: float) -> tuple[Optional[int], CheckReport]:
@@ -211,7 +176,7 @@ def summarize(
         raise ValueError("no reports to summarize")
     payload: dict = {r.name: r.as_dict() for r in reports}
     if constants is not None:
-        payload["constants"] = constants.as_dict()
+        payload["constants"] = asdict(constants)
         if k_stab is not None:
             payload["constants"]["k_stab"] = k_stab
     if stop_reason is not None:
@@ -234,19 +199,16 @@ def run_diagnostics(
     stop: StopCriteria,
 ) -> tuple[list[CheckReport], DerivedConstants, Optional[int]]:
     """Run every applicable check for a completed trace of the given step."""
-    cert = step.certificate()
-    obj = step.prob
-    lipschitz = obj.lipschitz
-    consts = derive_constants(cert, params, lipschitz, eta_plus_of(trace))
-    reports = [check_sufficient_decrease(trace, cert, params)]
+    consts = derive_constants(step, params, trace)
+    reports = [check_sufficient_decrease(trace, consts.a)]
     k_stab: Optional[int] = None
     k_start = 0
-    if not obj.is_smooth:
+    if not step.prob.is_smooth:
         # The non-smooth objective is the l0 one, where the step has a hard-threshold level.
         k_stab, support_report = check_support(trace, step.threshold)
         reports.append(support_report)
         k_start = k_stab if k_stab is not None else len(trace.records)
-    reports.append(check_residual_bound(trace, cert, params, lipschitz, k_start=k_start))
+    reports.append(check_residual_bound(trace, consts.b, k_start=k_start))
     # Computable consequence of convergence at a d_tol stop: the residual
     # scale is set by the step-length tolerance via b_bar.
     residual_threshold = 10.0 * (1.0 + params.eta) * consts.b_bar * max(stop.d_tol, 1e-300)

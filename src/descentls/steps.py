@@ -1,12 +1,11 @@
-"""The base iteration map x -> y with sufficient-decrease / relative-error certificates.
+"""The base iteration map x -> y: one forward-backward (proximal-gradient) step.
 
-There is one step, the forward-backward (proximal-gradient) step.  Its
-`StepCertificate` carries constants (nu, beta): nu bounds the per-step
-objective decrease from below by nu * ||y - x||^2, and beta bounds the
-subdifferential residual at y by beta * ||y - x||.  The objective supplies
-nu(h), the only constant that differs between a smooth and an l0
-objective.  The constants are verified empirically by the diagnostics and
-the test suite rather than trusted.
+A step with parameter h decreases the objective by at least nu(h) * ||y - x||^2,
+where the objective supplies nu(h), the only constant that differs between a
+smooth and an l0 objective; h is admissible exactly when nu(h) > 0.  The
+diagnostics derive the residual constant beta = h + L and the search
+constants from the step and test them against the recorded trace rather
+than trust them.
 """
 
 from __future__ import annotations
@@ -20,18 +19,6 @@ from .objectives import Objective
 
 # Default margin for the strict step-size condition h > ||A||^2.
 DEFAULT_H_FACTOR = 1.01
-
-
-@dataclass(frozen=True)
-class StepCertificate:
-    nu: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.nu > 0 and math.isfinite(self.nu)):
-            raise ValueError("nu must be positive and finite")
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError("beta must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -72,9 +59,6 @@ class ProxGradientStep:
     def apply_grad(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The step from x given g = grad f(x); no product with A."""
         return self.prob.prox(x - g / self.h, self.h)
-
-    def certificate(self) -> StepCertificate:
-        return StepCertificate(nu=self.prob.nu(self.h), beta=self.h + self.prob.lipschitz)
 
 
 # Iterative hard thresholding is this step on an `L0LeastSquares` objective.

@@ -16,7 +16,7 @@ from descentls.diagnostics import (
     check_residual_bound,
     check_sufficient_decrease,
     check_support,
-    eta_plus_of,
+    derive_constants,
 )
 from descentls.driver import (
     ARMIJO_FAILED,
@@ -83,11 +83,11 @@ def test_criterion_1_worked_micro_instance():
 def test_criterion_2_sufficient_decrease(seeded_runs):
     ok = True
     for seed, step, ls, plain in seeded_runs:
-        cert = step.certificate()
         L = step.prob.quad.lipschitz
-        assert cert.nu == (step.h - L) / 2.0
         for trace in (ls, plain):
-            rep = check_sufficient_decrease(trace, cert, PARAMS)
+            consts = derive_constants(step, PARAMS, trace)
+            assert consts.nu == (step.h - L) / 2.0
+            rep = check_sufficient_decrease(trace, consts.a)
             ok = ok and rep.passed
     assert report("2 sufficient decrease, zero violations over 50 seeds", ok)
 
@@ -96,13 +96,14 @@ def test_criterion_3_residual_bound_after_stabilization(seeded_runs):
     ok = True
     for seed, step, ls, plain in seeded_runs:
         L = step.prob.quad.lipschitz
-        cert = step.certificate()
+        # The search constant b = beta + L * eta bounds both variants.
+        b = derive_constants(step, PARAMS, ls).b
+        assert b == L * PARAMS.eta + (step.h + L)
         for trace in (ls, plain):
             k_stab, sup = check_support(trace, step.threshold)
             if k_stab is None:
                 ok = False
                 continue
-            b = L * PARAMS.eta + cert.beta
             for k in range(k_stab, len(trace.records)):
                 r = trace.records[k]
                 if r.residual > b * r.d_norm + 1e-9:
@@ -113,8 +114,7 @@ def test_criterion_3_residual_bound_after_stabilization(seeded_runs):
 def test_criterion_4_sandwich_and_summability(seeded_runs):
     ok = True
     for seed, step, ls, plain in seeded_runs:
-        cert = step.certificate()
-        a = cert.nu + PARAMS.alpha * eta_plus_of(ls)
+        a = derive_constants(step, PARAMS, ls).a
         # sandwich: the update moves by exactly (1 + eta_k) d^k, and the
         # extrapolation factor never exceeds 1 + eta^0 (m = 0 is admissible)
         for r in ls.records:

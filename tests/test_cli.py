@@ -80,12 +80,15 @@ def test_run_passes_cauchy_tail_on_correct_runs(tmp_path, capsys, flags, stop, n
 def test_usage_errors(tmp_path, capsys, micro_files):
     assert main(["run", "--seed", "1", "--lambda", "-1", "--out", str(tmp_path)]) == 2
     assert main(["run", "--seed", "1", "--h-factor", "1.0", "--out", str(tmp_path)]) == 2
-    # Non-finite parameters fail before any solve, so nothing is written.
+    # Non-finite or out-of-range parameters fail before any solve, so nothing is written.
     out = tmp_path / "nonfinite"
     for flag, value, message in [("--alpha", "inf", "alpha must be"), ("--d-tol", "nan", "d_tol must be"),
                                  ("--d-tol", "inf", "d_tol must be"),
                                  ("--residual-tol", "nan", "residual_tol must be"),
                                  ("--h-factor", "inf", "h = inf must be finite"),
+                                 ("--h-factor", "nan", "h_factor must be > 1"),
+                                 ("--lambda", "0", "lam must be positive and finite"),
+                                 ("--lambda", "nan", "lam must be positive and finite"),
                                  ("--zero-tol", "nan", "zero_tol must be"),
                                  ("--zero-tol", "inf", "zero_tol must be")]:
         capsys.readouterr()

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from descentls.diagnostics import (
+    TOL,
     check_cauchy,
     check_residual_bound,
     check_sufficient_decrease,
     check_support,
     derive_constants,
-    eta_plus_of,
     run_diagnostics,
     summarize,
 )
@@ -38,29 +38,45 @@ def seeded():
     return step, trace
 
 
-def test_derived_constants_relations():
-    cert = IHTStep(prob=L0LeastSquares(
-        quad=SmoothQuadratic.from_data(np.eye(2), np.ones(2)), lam=1.0), h=2.0).certificate()
-    c = derive_constants(cert, PARAMS, lipschitz=1.001, eta_plus=0.5)
-    assert c.a == pytest.approx(cert.nu + PARAMS.alpha * 0.5)
-    assert c.a_bar == pytest.approx(c.a / (1 + PARAMS.eta))
-    assert c.b == pytest.approx(cert.beta + 1.001 * PARAMS.eta)
-    assert c.b_bar == pytest.approx((1 + PARAMS.eta) * c.b)
+def test_derived_constants_relations(micro):
+    l0_step, _ = micro
+    quad = l0_step.prob.quad
+    smooth_step = ProxGradientStep(prob=quad, h=2.0)
+    L = quad.lipschitz
+    for step in (l0_step, smooth_step):
+        for params in (PARAMS, None):
+            trace = run(np.zeros(2), step, params, STOP)
+            c = derive_constants(step, PARAMS, trace)
+            # nu and beta come from the step alone, on plain and search traces.
+            assert c.lipschitz == L
+            assert c.nu == step.prob.nu(step.h)
+            assert c.beta == step.h + L
+            if params is None:
+                assert (c.eta_plus, c.a, c.b, c.a_bar, c.b_bar) == (0.0, c.nu, c.beta, c.nu, c.beta)
+            else:
+                assert c.eta_plus == min(r.eta_k for r in trace.records)
+                assert c.a == pytest.approx(c.nu + PARAMS.alpha * c.eta_plus)
+                assert c.a_bar == pytest.approx(c.a / (1 + PARAMS.eta))
+                assert c.b == pytest.approx(c.beta + L * PARAMS.eta)
+                assert c.b_bar == pytest.approx((1 + PARAMS.eta) * c.b)
+    assert l0_step.prob.nu(2.0) == (2.0 - L) / 2.0
+    assert smooth_step.prob.nu(2.0) == 2.0 - L / 2.0
 
 
 def test_sufficient_decrease_passes(micro):
     step, trace = micro
-    report = check_sufficient_decrease(trace, step.certificate(), PARAMS)
+    consts = derive_constants(step, PARAMS, trace)
+    report = check_sufficient_decrease(trace, consts.a)
     assert report.passed
     # eta_plus = 1 on this trace, a = nu + alpha
-    assert eta_plus_of(trace) == 1.0
-    assert report.constant_used == pytest.approx(step.certificate().nu + PARAMS.alpha)
+    assert consts.eta_plus == 1.0
+    assert report.constant_used == pytest.approx(step.prob.nu(step.h) + PARAMS.alpha)
 
 
 def test_sufficient_decrease_constant_trace(micro):
     step, _ = micro
     trace = run(np.array([3.0, 0.0]), step, PARAMS, STOP)
-    report = check_sufficient_decrease(trace, step.certificate(), PARAMS)
+    report = check_sufficient_decrease(trace, derive_constants(step, PARAMS, trace).a)
     assert report.passed and report.worst_violation == 0.0
 
 
@@ -69,15 +85,14 @@ def test_sufficient_decrease_catches_increasing_phi(micro):
     corrupted = copy.deepcopy(trace)
     # Large enough to make Phi increase across the first transition.
     corrupted.records[1].phi_x += 10.0
-    report = check_sufficient_decrease(corrupted, step.certificate(), PARAMS)
+    report = check_sufficient_decrease(corrupted, derive_constants(step, PARAMS, corrupted).a)
     assert not report.passed
     assert report.at_iteration == 0
 
 
 def test_residual_bound_micro(micro):
     step, trace = micro
-    report = check_residual_bound(trace, step.certificate(), PARAMS,
-                                  step.prob.quad.lipschitz, k_start=1)
+    report = check_residual_bound(trace, derive_constants(step, PARAMS, trace).b, k_start=1)
     assert report.passed
 
 
@@ -86,14 +101,14 @@ def test_residual_bound_gradient_descent():
     quad = SmoothQuadratic.from_data(rng.standard_normal((6, 6)), rng.standard_normal(6))
     gd = ProxGradientStep(prob=quad, h=quad.lipschitz)
     trace = run(np.zeros(6), gd, PARAMS, STOP)
-    report = check_residual_bound(trace, gd.certificate(), PARAMS, quad.lipschitz)
+    report = check_residual_bound(trace, derive_constants(gd, PARAMS, trace).b)
     assert report.passed
 
 
 def test_residual_bound_vacuous_range(micro):
     step, trace = micro
-    report = check_residual_bound(trace, step.certificate(), PARAMS,
-                                  step.prob.quad.lipschitz, k_start=len(trace.records))
+    report = check_residual_bound(trace, derive_constants(step, PARAMS, trace).b,
+                                  k_start=len(trace.records))
     assert report.passed and report.worst_violation == 0.0
 
 
@@ -102,9 +117,32 @@ def test_residual_bound_catches_corruption(seeded):
     corrupted = copy.deepcopy(trace)
     corrupted.records[-1].residual += 1.0
     k_stab, _ = check_support(trace, step.threshold)
-    report = check_residual_bound(corrupted, step.certificate(), PARAMS,
-                                  step.prob.quad.lipschitz, k_start=k_stab)
+    report = check_residual_bound(corrupted, derive_constants(step, PARAMS, corrupted).b, k_start=k_stab)
     assert not report.passed
+
+
+@pytest.mark.parametrize("params", [PARAMS, None])
+def test_checks_are_sharp_at_their_constant(seeded, params):
+    # Each check passes with the extreme constant that the trace's own
+    # columns support, TOL slack included, and fails just beyond it, at the
+    # latest on the row that sets that constant.
+    step, _ = seeded
+    trace = run(np.zeros(32), step, params, STOP)
+    rows = trace.records
+    phi_next = [r.phi_x for r in rows[1:]] + [trace.final_phi]
+    a_max, a_row = min(((r.phi_x - nxt + TOL * max(1.0, abs(r.phi_x))) / r.d_norm ** 2, r.k)
+                       for r, nxt in zip(rows, phi_next) if r.d_norm > 0)
+    assert check_sufficient_decrease(trace, a_max).passed
+    report = check_sufficient_decrease(trace, a_max * (1 + 1e-6))
+    assert not report.passed and report.at_iteration <= a_row and report.constant_used == a_max * (1 + 1e-6)
+
+    k_stab, _ = check_support(trace, step.threshold)
+    b_min, b_row = max(((r.residual - TOL) / r.d_norm, r.k) for r in rows[k_stab:] if r.d_norm > 0)
+    assert b_min > 0
+    assert check_residual_bound(trace, b_min, k_start=k_stab).passed
+    report = check_residual_bound(trace, b_min * (1 - 1e-6), k_start=k_stab)
+    assert not report.passed and k_stab <= report.at_iteration <= b_row
+    assert report.constant_used == b_min * (1 - 1e-6)
 
 
 def test_check_support_micro(micro):
@@ -196,7 +234,8 @@ def test_summarize(micro, capsys):
     reports, consts, k_stab = run_diagnostics(trace, step, PARAMS, STOP)
     payload, text = summarize(reports, consts, trace.stop_reason, k_stab)
     assert payload["stop_reason"] == "d_tol"
-    assert set(payload["constants"]) >= {"lipschitz", "nu", "beta", "a", "b", "a_bar", "b_bar", "eta_plus"}
+    assert list(payload["constants"]) == ["lipschitz", "nu", "beta", "eta_plus", "a", "b", "a_bar", "b_bar",
+                                          "k_stab"]
     assert payload["constants"]["lipschitz"] == step.prob.lipschitz
     for r in reports:
         assert r.name in payload and "PASS" in text
@@ -207,6 +246,6 @@ def test_summarize(micro, capsys):
 def test_plain_trace_uses_nu_only(micro):
     step, _ = micro
     trace = run_plain(np.zeros(2), step, STOP)
-    report = check_sufficient_decrease(trace, step.certificate(), PARAMS)
+    report = check_sufficient_decrease(trace, derive_constants(step, PARAMS, trace).a)
     assert report.passed
-    assert report.constant_used == pytest.approx(step.certificate().nu)
+    assert report.constant_used == pytest.approx(step.prob.nu(step.h))

@@ -228,9 +228,6 @@ def test_unbounded_guard():
         def apply_grad(self, x, g):
             return 2.0 * x + 1.0
 
-        def certificate(self):
-            return ProxGradientStep(prob=quad, h=quad.lipschitz).certificate()
-
     trace = run_plain(np.array([1.0]), DivergingStep(), StopCriteria(bound_guard=1e3))
     assert trace.stop_reason is StopReason.UNBOUNDED_GUARD
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from descentls.diagnostics import derive_constants
+from descentls.driver import LineSearchParams, StopCriteria, run_plain
 from descentls.instances import InstanceSpec, generate_instance
 from descentls.objectives import L0LeastSquares, SmoothQuadratic, hard_threshold
-from descentls.steps import IHTStep, ProxGradientStep, StepCertificate
+from descentls.steps import IHTStep, ProxGradientStep
 
 
 def make_problem(seed=1, lam=0.01, rows=16, cols=32, sparsity=3, noise=0.01):
@@ -14,13 +16,10 @@ def make_problem(seed=1, lam=0.01, rows=16, cols=32, sparsity=3, noise=0.01):
     return L0LeastSquares(quad=SmoothQuadratic.from_data(a, b), lam=lam)
 
 
-def test_certificate_validation():
-    with pytest.raises(ValueError):
-        StepCertificate(nu=0.0, beta=1.0)
-    with pytest.raises(ValueError):
-        StepCertificate(nu=1.0, beta=-1.0)
-    with pytest.raises(ValueError):
-        StepCertificate(nu=np.inf, beta=1.0)
+def step_constants(step):
+    """(nu, beta) of a step on a 2-vector, as the diagnostics derive them."""
+    consts = derive_constants(step, LineSearchParams(), run_plain(np.zeros(2), step, StopCriteria(max_iters=1)))
+    return consts.nu, consts.beta
 
 
 def test_hard_threshold_examples():
@@ -75,22 +74,20 @@ def test_gd_step_size_bound():
     for h in (L / 2.0, 1 / 3.0, 0.0, -1.0):
         with pytest.raises(ValueError, match="nu"):
             ProxGradientStep(prob=quad, h=h)
-    assert ProxGradientStep(prob=quad, h=0.51 * L).certificate().nu == 0.51 * L - L / 2.0
+    assert step_constants(ProxGradientStep(prob=quad, h=0.51 * L))[0] == 0.51 * L - L / 2.0
 
 
 def test_certificate_iht_formulas():
-    cert = StepCertificate(nu=(2.0 - 1.0) / 2.0, beta=2.0 + 1.0)
-    assert cert.nu == 0.5 and cert.beta == 3.0
-    cert2 = StepCertificate(nu=(4.04 - 4.0) / 2.0, beta=4.04 + 4.0)
-    assert cert2.nu == pytest.approx(0.02)
-    assert cert2.beta == pytest.approx(8.04)
+    # (nu, beta) = ((h - L)/2, h + L) for an l0 step.
+    for L, h, nu, beta in ((1.0, 2.0, 0.5, 3.0), (4.0, 4.04, 0.02, 8.04)):
+        quad = SmoothQuadratic(A=np.eye(2), b=np.zeros(2), lipschitz=L)
+        got = step_constants(IHTStep(prob=L0LeastSquares(quad=quad, lam=1.0), h=h))
+        assert got == pytest.approx((nu, beta))
     quad = SmoothQuadratic.from_data(np.eye(2), np.array([3.0, 0.5]))
     prob = L0LeastSquares(quad=quad, lam=1.0)
     step = IHTStep(prob=prob, h=2.0)
-    got = step.certificate()
     L = quad.lipschitz
-    assert got.nu == (2.0 - L) / 2.0
-    assert got.beta == 2.0 + L
+    assert step_constants(step) == ((2.0 - L) / 2.0, 2.0 + L)
 
 
 def test_iht_rejects_h_at_or_below_lipschitz():
@@ -109,10 +106,10 @@ def test_forward_backward_matches_small_gradient_step():
     fb = ProxGradientStep(prob=quad, h=h)
     x = np.array([0.3, -0.7])
     np.testing.assert_allclose(fb.apply(x), x - (1.0 / h) * quad.grad(x), rtol=1e-15)
-    cert = fb.certificate()
+    nu, beta = step_constants(fb)
     # Descent-lemma constant h - L/2, sharper than the l0 constant (h - L)/2.
-    assert cert.nu == pytest.approx(h - quad.lipschitz / 2.0)
-    assert cert.beta == h + quad.lipschitz
+    assert nu == pytest.approx(h - quad.lipschitz / 2.0)
+    assert beta == h + quad.lipschitz
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
@@ -120,7 +117,7 @@ def test_decrease_and_relative_error_certificates(seed):
     # A.1 / A.2 checked on real iterates, not trusted from the formulas.
     prob = make_problem(seed=seed)
     step = IHTStep.default(prob)
-    nu, beta = step.certificate().nu, step.certificate().beta
+    nu, beta = prob.nu(step.h), step.h + prob.lipschitz
     x = np.zeros(32)
     for _ in range(200):
         y = step.apply(x)
@@ -139,7 +136,7 @@ def test_gd_certificate_holds_on_iterates(h_over_L):
     rng = np.random.default_rng(2)
     quad = SmoothQuadratic.from_data(rng.standard_normal((8, 8)), rng.standard_normal(8))
     gd = ProxGradientStep(prob=quad, h=h_over_L * quad.lipschitz)
-    nu, beta = gd.certificate().nu, gd.certificate().beta
+    nu, beta = quad.nu(gd.h), gd.h + quad.lipschitz
     x = np.zeros(8)
     for _ in range(100):
         y = gd.apply(x)
