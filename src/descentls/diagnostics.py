@@ -210,8 +210,11 @@ def run_diagnostics(
         k_start = k_stab if k_stab is not None else len(trace.records)
     reports.append(check_residual_bound(trace, consts.b, k_start=k_start))
     # Computable consequence of convergence at a d_tol stop: the residual
-    # scale is set by the step-length tolerance via b_bar.
-    residual_threshold = 10.0 * (1.0 + params.eta) * consts.b_bar * max(stop.d_tol, 1e-300)
+    # scale is set by the step-length tolerance via b_bar, and by the largest
+    # extrapolation factor 1 + eta of a search; a plain run has factor 1.
+    plain = all(r.eta_k is None for r in trace.records)
+    growth = 1.0 if plain else 1.0 + params.eta
+    residual_threshold = 10.0 * growth * consts.b_bar * max(stop.d_tol, 1e-300)
     reports.append(check_cauchy(trace, residual_threshold))
     return reports, consts, k_stab
 

@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from .linalg import norm
 from .objectives import Objective
 from .steps import ProxGradientStep
 
@@ -82,7 +83,7 @@ class StopReason(Enum):
     UNBOUNDED_GUARD = "unbounded_guard"
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     k: int
     phi_x: float
@@ -126,7 +127,7 @@ def armijo_search(
         raise ValueError("y and d must have the same length")
     if phi_y is None:
         phi_y = obj.value(y)
-    d_sq = float(d @ d)
+    d_sq = float(d.dot(d))
     for m in range(params.cap + 1):
         t = params.eta ** m
         trial = y + t * d
@@ -170,7 +171,7 @@ def _advance(
     phi_x = obj.value(x)
     y = step.apply_grad(x, g)
     d = y - x
-    d_norm = float(np.linalg.norm(d))
+    d_norm = norm(d)
     phi_y = obj.value(y)
     if not (math.isfinite(phi_x) and math.isfinite(phi_y) and math.isfinite(d_norm)):
         raise NonFiniteObjective(f"non-finite objective at iteration {k}: phi_x={phi_x}, phi_y={phi_y}")
@@ -231,7 +232,7 @@ def run(
         if stop.residual_tol is not None and record.residual <= stop.residual_tol:
             reason = StopReason.RESIDUAL_TOL
             break
-        if float(np.linalg.norm(x)) > stop.bound_guard:
+        if norm(x) > stop.bound_guard:
             reason = StopReason.UNBOUNDED_GUARD
             break
     return RunTrace(records=records, final_x=x, stop_reason=reason, final_phi=obj.value(x))

@@ -7,6 +7,8 @@ solvers need, including the exact ||A||^2 that sets step sizes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Multiplicative margin on ||A||^2 so that step-size conditions of the
@@ -38,18 +40,35 @@ def as_matrix(values) -> np.ndarray:
     return a
 
 
+def norm(v: np.ndarray) -> float:
+    """Return the Euclidean norm of a 1-D real vector, 0.0 when it is empty.
+
+    Bit for bit what `np.linalg.norm(v)` computes for such a vector,
+    sqrt(v . v) by one BLAS dot, with less dispatch around it.  Like it,
+    the sum of squares overflows to inf or underflows to 0.0 unscaled.
+    Exact for contiguous `v`, as every vector the solvers build is.
+    """
+    return math.sqrt(v.dot(v))
+
+
 def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Return A @ x, checking the inner dimension."""
+    """Return A @ x, checking the inner dimension.
+
+    `a.dot(x)` calls the same BLAS gemv as `a @ x` and gives the same bits
+    for C- or F-contiguous `a`, with less dispatch around the call.  A
+    strided view of `a` may round differently under the two forms; no
+    solver builds one.
+    """
     if a.shape[1] != x.shape[0]:
         raise DimensionMismatch(f"matvec: matrix has {a.shape[1]} columns, vector has length {x.shape[0]}")
-    return a @ x
+    return a.dot(x)
 
 
 def transpose_matvec(a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Return A.T @ r, checking the inner dimension."""
+    """Return A.T @ r, checking the inner dimension; `dot` as in `matvec`."""
     if a.shape[0] != r.shape[0]:
         raise DimensionMismatch(f"transpose_matvec: matrix has {a.shape[0]} rows, vector has length {r.shape[0]}")
-    return a.T @ r
+    return a.T.dot(r)
 
 
 def spectral_norm_sq(a: np.ndarray) -> float:

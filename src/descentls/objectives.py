@@ -21,7 +21,7 @@ from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, matvec, spectral_norm_sq, transpose_matvec
+from .linalg import as_matrix, as_vector, matvec, norm, spectral_norm_sq, transpose_matvec
 
 
 @runtime_checkable
@@ -63,17 +63,15 @@ def hard_threshold(t, lam: float, h: float):
     """Keep t where |t| >= sqrt(2*lam/h), zero it otherwise.
 
     This is the prox of (lam/h) * (number of nonzeros).  The boundary is
-    kept.  Works elementwise on arrays and on scalars.
+    kept, and zeroed entries are +0.0.  Works elementwise: a float64 array
+    gives a float64 array of its shape, and a Python float gives a 0-d
+    float64 array, which compares equal to the float it stands for.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
     if not h > 0:
         raise ValueError("h must be positive")
-    thresh = math.sqrt(2.0 * lam / h)
-    if np.isscalar(t):
-        return t if abs(t) >= thresh else 0.0
-    t = np.asarray(t, dtype=np.float64)
-    return np.where(np.abs(t) >= thresh, t, 0.0)
+    return np.where(np.abs(t) >= math.sqrt(2.0 * lam / h), t, 0.0)
 
 
 @dataclass(frozen=True)
@@ -95,7 +93,7 @@ class SmoothQuadratic:
 
     def value(self, x: np.ndarray) -> float:
         r = self.b - matvec(self.A, x)
-        return 0.5 * float(r @ r)
+        return 0.5 * float(r.dot(r))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return transpose_matvec(self.A, matvec(self.A, x) - self.b)
@@ -104,7 +102,7 @@ class SmoothQuadratic:
         return self.residual_from_grad(self.grad(x), None)
 
     def residual_from_grad(self, g: np.ndarray, mask: None) -> float:
-        return float(np.linalg.norm(g))
+        return norm(g)
 
     def prox(self, z: np.ndarray, h: float) -> np.ndarray:
         """The prox of the zero regularizer: the identity."""
@@ -163,4 +161,4 @@ class L0LeastSquares:
 
     def residual_from_grad(self, g: np.ndarray, mask: np.ndarray) -> float:
         """The norm of g on the support; 0.0 on an empty support."""
-        return float(np.linalg.norm(g[mask]))
+        return norm(g[mask])
