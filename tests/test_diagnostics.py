@@ -199,6 +199,26 @@ def test_check_cauchy_flags_large_final_residual(micro):
     assert not report.passed
 
 
+def test_cauchy_threshold_has_the_search_factor_only_on_search_traces(seeded):
+    # 10 * (1 + eta) * b_bar * d_tol after a search; a plain run has no
+    # extrapolation factor, so 10 * beta * d_tol (b_bar = beta there).
+    step, search = seeded
+    plain = run_plain(np.zeros(32), step, STOP)
+
+    def cauchy_tail(trace):
+        reports, consts, _ = run_diagnostics(trace, step, PARAMS, STOP)
+        return next(r for r in reports if r.name == "cauchy_tail"), consts
+
+    report, consts = cauchy_tail(search)
+    assert report.constant_used == 10.0 * (1.0 + PARAMS.eta) * consts.b_bar * STOP.d_tol
+    report, consts = cauchy_tail(plain)
+    threshold = 10.0 * consts.beta * STOP.d_tol
+    assert report.constant_used == threshold
+    # A plain final residual above its own threshold, below the search's, fails.
+    plain.records[-1].residual = 1.2 * threshold + TOL
+    assert not cauchy_tail(plain)[0].passed
+
+
 def test_run_diagnostics_all_pass(seeded):
     step, trace = seeded
     reports, consts, k_stab = run_diagnostics(trace, step, PARAMS, STOP)

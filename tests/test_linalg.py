@@ -9,6 +9,7 @@ from descentls.linalg import (
     load_matrix,
     load_vector,
     matvec,
+    norm,
     save_matrix,
     save_vector,
     spectral_norm_sq,
@@ -119,6 +120,41 @@ def test_matvec_linearity():
     lhs = matvec(a, s * x + t * y)
     rhs = s * matvec(a, x) + t * matvec(a, y)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
+
+
+def same_bits(u, v):
+    return u.dtype == v.dtype and u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_dot_forms_equal_numpy_bit_for_bit(order, scale):
+    # matvec, transpose_matvec and norm call ndarray.dot for less dispatch;
+    # they must round exactly as a @ x, a.T @ r and np.linalg.norm do.  At
+    # 1e200 and 1e-200 the sums of squares overflow to inf or underflow to
+    # 0.0, the same on both sides (numpy warns of the overflow on both).
+    rng = np.random.default_rng(17)
+    for rows, cols in [(1, 1), (3, 5), (16, 32), (32, 64), (65, 33), (256, 17)]:
+        a = np.asarray(rng.standard_normal((rows, cols)), order=order)
+        x = scale * rng.standard_normal(cols)
+        x[rng.random(cols) < 0.8] = 0.0  # sparse, as IHT iterates are
+        r = scale * rng.standard_normal(rows)
+        assert same_bits(matvec(a, x), a @ x)
+        assert same_bits(transpose_matvec(a, r), a.T @ r)
+        for v in (x, r, a @ x, a.T @ r, x[x != 0.0]):
+            with np.errstate(over="ignore"):
+                got, want = norm(v), np.linalg.norm(v)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want.tobytes()
+
+
+def test_norm_edge_cases():
+    # g[mask] is empty on an empty support.
+    assert norm(np.ones(3)[np.zeros(3, dtype=bool)]) == 0.0 == np.linalg.norm(np.empty(0))
+    with np.errstate(over="ignore"):
+        assert norm(np.array([1e200, 1.0])) == np.inf == np.linalg.norm(np.array([1e200, 1.0]))
+    assert norm(np.array([1e-200, -1e-200])) == 0.0 == np.linalg.norm(np.array([1e-200, -1e-200]))
+    assert norm(np.array([3.0, -4.0])) == 5.0
 
 
 def test_csv_round_trip(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from descentls.diagnostics import derive_constants
 from descentls.driver import LineSearchParams, StopCriteria, run_plain
@@ -40,6 +40,32 @@ def test_hard_threshold_validates():
 def test_hard_threshold_elementwise():
     out = hard_threshold(np.array([1.5, 0.25, -1.0]), 1.0, 2.0)
     np.testing.assert_array_equal(out, [1.5, 0.0, -1.0])
+
+
+def test_hard_threshold_keeps_boundary_and_writes_positive_zeros():
+    # lam = 1, h = 2: threshold is exactly 1.  A trace's repr tells -0.0
+    # from 0.0, so zeroed entries must be +0.0 whatever the sign of t.
+    t = np.array([-1.0, 1.0, -0.5, 0.5, -0.0, 0.0, -1e-300, -2.0])
+    out = hard_threshold(t, 1.0, 2.0)
+    assert out.dtype == np.float64
+    assert repr(out.tolist()) == repr([-1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -2.0])
+
+
+def scalar_hard_threshold(t, lam, h):
+    """Plain-Python reference for one entry."""
+    return t if abs(t) >= math.sqrt(2.0 * lam / h) else 0.0
+
+
+@given(st.floats(-10, 10), st.floats(0.01, 5), st.floats(0.01, 5))
+@example(-1.0, 1.0, 2.0)
+@example(1.0, 1.0, 2.0)
+@example(-0.5, 1.0, 2.0)
+@example(-0.0, 1.0, 2.0)
+def test_hard_threshold_scalar_matches_reference(t, lam, h):
+    out = hard_threshold(t, lam, h)
+    assert out.shape == () and out.dtype == np.float64
+    want = scalar_hard_threshold(t, lam, h)
+    assert out == want and repr(float(out)) == repr(want)
 
 
 @given(st.floats(-10, 10), st.floats(0.01, 5), st.floats(0.01, 5))
