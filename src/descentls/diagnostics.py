@@ -4,6 +4,11 @@ Every check consumes a completed `RunTrace` and reports the worst slack it
 observed.  Tolerances are absolute 1e-9, scaled by max(1, |Phi|) where an
 objective value sets the scale; double precision accumulated over at most
 ~1e4 iterations stays well inside that.
+
+The decrease and residual constants are per row.  Row k extrapolates by
+t_k: its accepted eta_k, and 0 on a failed search and on a plain row.  It
+is checked against a_k = nu + alpha * t_k and b_k = beta + L * t_k, so a
+plain trace is a search trace whose every t_k is 0.
 """
 
 from __future__ import annotations
@@ -13,15 +18,16 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .driver import RunTrace, StopCriteria, LineSearchParams, StopReason
+from .driver import IterationRecord, RunTrace, StopCriteria, LineSearchParams, StopReason
 from .steps import ProxGradientStep
 
 TOL = 1e-9
 
 # Largest extrapolation factor the search can accept: eta^0 = 1 at m = 0.
-# Since every accepted eta_k <= ETA_MAX, the x-increment forms of the
-# decrease and residual bounds, a/(1+ETA_MAX)^2 * ||x^{k+1}-x^k||^2 and
-# b_bar * ||x^{k+1}-x^k||, follow from the d forms the checks test.
+# Since x^{k+1} - x^k = (1 + t_k) d^k with 0 <= t_k <= ETA_MAX, the d forms
+# the checks test give the x-increment forms with trace-wide constants:
+# a decrease of nu/(1+ETA_MAX)^2 * ||x^{k+1}-x^k||^2 and a residual of at
+# most (beta + L*ETA_MAX) * ||x^{k+1}-x^k||.
 ETA_MAX = 1.0
 
 
@@ -48,33 +54,22 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """The constants the checks test, derived once per trace by `derive_constants`."""
+    """The step constants the per-row checks build on, derived by `derive_constants`."""
 
     lipschitz: float  # L = ||A||^2 with its safety factor
     nu: float         # nu(h), from the objective
     beta: float       # h + L
-    eta_plus: float   # smallest recorded eta_k, zeros included; 0 on a plain run
-    a: float          # nu + alpha * eta_plus
-    b: float          # beta + L * eta
-    a_bar: float      # a / (1 + eta)
-    b_bar: float      # (1 + eta) * b
 
 
-def derive_constants(step: ProxGradientStep, params: LineSearchParams, trace: RunTrace) -> DerivedConstants:
-    """The decrease and residual constants for a trace of the given step and search."""
+def derive_constants(step: ProxGradientStep) -> DerivedConstants:
+    """L, nu(h) and beta = h + L of the given step."""
     lipschitz = step.prob.lipschitz
-    nu = step.prob.nu(step.h)
-    beta = step.h + lipschitz
-    etas = [r.eta_k for r in trace.records if r.eta_k is not None]
-    if not etas:
-        # Plain run: no extrapolation term, decrease rests on nu alone.
-        return DerivedConstants(lipschitz=lipschitz, nu=nu, beta=beta, eta_plus=0.0,
-                                a=nu, b=beta, a_bar=nu, b_bar=beta)
-    eta_plus = min(etas)
-    a = nu + params.alpha * eta_plus
-    b = beta + lipschitz * params.eta
-    return DerivedConstants(lipschitz=lipschitz, nu=nu, beta=beta, eta_plus=eta_plus,
-                            a=a, b=b, a_bar=a / (1.0 + params.eta), b_bar=(1.0 + params.eta) * b)
+    return DerivedConstants(lipschitz=lipschitz, nu=step.prob.nu(step.h), beta=step.h + lipschitz)
+
+
+def _extrapolation(r: IterationRecord) -> float:
+    """t_k of a row: its accepted eta_k, 0 on a failed search (eta_k = 0) and on a plain row."""
+    return 0.0 if r.eta_k is None else r.eta_k
 
 
 def _phi_next(trace: RunTrace, k: int) -> float:
@@ -83,40 +78,47 @@ def _phi_next(trace: RunTrace, k: int) -> float:
     return trace.final_phi
 
 
-def check_sufficient_decrease(trace: RunTrace, a: float) -> CheckReport:
-    """Per-iteration decrease Phi(x^k) - Phi(x^{k+1}) >= a*||d^k||^2."""
+def check_sufficient_decrease(trace: RunTrace, nu: float, alpha: float) -> CheckReport:
+    """Per-row decrease Phi(x^k) - Phi(x^{k+1}) >= a_k*||d^k||^2, a_k = nu + alpha*t_k.
+
+    The reported constant is the a_k of the row with the least slack, which
+    is the failing row on failure.
+    """
     if not trace.records:
         raise ValueError("trace is empty")
     worst = math.inf
     worst_at = None
+    worst_a = nu
     for k, r in enumerate(trace.records):
+        a_k = nu + alpha * _extrapolation(r)
         drop = r.phi_x - _phi_next(trace, k)
-        tol_k = TOL * max(1.0, abs(r.phi_x))
-        slack = drop - a * r.d_norm ** 2
+        slack = drop - a_k * r.d_norm ** 2
+        if slack < -TOL * max(1.0, abs(r.phi_x)):
+            return CheckReport("sufficient_decrease", False, slack, k, a_k)
         if slack < worst:
-            worst, worst_at = slack, k
-        if slack < -tol_k:
-            return CheckReport("sufficient_decrease", False, slack, k, a)
-    return CheckReport("sufficient_decrease", True, min(worst, 0.0) if worst < 0 else 0.0, worst_at, a)
+            worst, worst_at, worst_a = slack, k, a_k
+    return CheckReport("sufficient_decrease", True, worst if worst < 0 else 0.0, worst_at, worst_a)
 
 
-def check_residual_bound(trace: RunTrace, b: float, k_start: int = 0) -> CheckReport:
-    """residual_k = dist(0, dPhi(x^{k+1})) <= b*||d^k|| for k >= k_start.
+def check_residual_bound(trace: RunTrace, beta: float, lipschitz: float, k_start: int = 0) -> CheckReport:
+    """residual_k = dist(0, dPhi(x^{k+1})) <= b_k*||d^k||, b_k = beta + L*t_k, for k >= k_start.
 
     For l0 objectives the bound is asymptotic: pass the support
     stabilization index as k_start; smooth objectives use k_start = 0.
-    An empty range passes vacuously.
+    An empty range passes vacuously.  The reported constant is the b_k of
+    the row with the least slack (the failing row on failure), or beta
+    when the range is empty.
     """
-    worst = 0.0
-    worst_at = None
+    least, least_b = math.inf, beta
     for k in range(k_start, len(trace.records)):
         r = trace.records[k]
-        slack = b * r.d_norm + TOL - r.residual
-        if slack < worst:
-            worst, worst_at = slack, k
+        b_k = beta + lipschitz * _extrapolation(r)
+        slack = b_k * r.d_norm + TOL - r.residual
         if slack < 0.0:
-            return CheckReport("residual_bound", False, slack, k, b)
-    return CheckReport("residual_bound", True, worst, worst_at, b)
+            return CheckReport("residual_bound", False, slack, k, b_k)
+        if slack < least:
+            least, least_b = slack, b_k
+    return CheckReport("residual_bound", True, 0.0, None, least_b)
 
 
 def check_support(trace: RunTrace, threshold: float) -> tuple[Optional[int], CheckReport]:
@@ -167,28 +169,25 @@ def check_cauchy(trace: RunTrace, residual_threshold: float) -> CheckReport:
 
 def summarize(
     reports: list[CheckReport],
-    constants: Optional[DerivedConstants] = None,
-    stop_reason: Optional[StopReason] = None,
-    k_stab: Optional[int] = None,
+    constants: DerivedConstants,
+    stop_reason: StopReason,
+    k_stab: Optional[int],
 ) -> tuple[dict, str]:
     """Machine-readable dict and human-readable text for a batch of checks."""
     if not reports:
         raise ValueError("no reports to summarize")
     payload: dict = {r.name: r.as_dict() for r in reports}
-    if constants is not None:
-        payload["constants"] = asdict(constants)
-        if k_stab is not None:
-            payload["constants"]["k_stab"] = k_stab
-    if stop_reason is not None:
-        payload["stop_reason"] = stop_reason.value
+    payload["constants"] = asdict(constants)
+    if k_stab is not None:
+        payload["constants"]["k_stab"] = k_stab
+    payload["stop_reason"] = stop_reason.value
     lines = []
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         extra = f" ({r.note})" if r.note else ""
         lines.append(f"{status} {r.name}: worst_violation={r.worst_violation:.3e} "
                      f"at={r.at_iteration} constant={r.constant_used:.6g}{extra}")
-    if stop_reason is not None:
-        lines.append(f"stop_reason: {stop_reason.value}")
+    lines.append(f"stop_reason: {stop_reason.value}")
     return payload, "\n".join(lines)
 
 
@@ -199,8 +198,8 @@ def run_diagnostics(
     stop: StopCriteria,
 ) -> tuple[list[CheckReport], DerivedConstants, Optional[int]]:
     """Run every applicable check for a completed trace of the given step."""
-    consts = derive_constants(step, params, trace)
-    reports = [check_sufficient_decrease(trace, consts.a)]
+    consts = derive_constants(step)
+    reports = [check_sufficient_decrease(trace, consts.nu, params.alpha)]
     k_stab: Optional[int] = None
     k_start = 0
     if not step.prob.is_smooth:
@@ -208,14 +207,12 @@ def run_diagnostics(
         k_stab, support_report = check_support(trace, step.threshold)
         reports.append(support_report)
         k_start = k_stab if k_stab is not None else len(trace.records)
-    reports.append(check_residual_bound(trace, consts.b, k_start=k_start))
-    # Computable consequence of convergence at a d_tol stop: the residual
-    # scale is set by the step-length tolerance via b_bar, and by the largest
-    # extrapolation factor 1 + eta of a search; a plain run has factor 1.
-    plain = all(r.eta_k is None for r in trace.records)
-    growth = 1.0 if plain else 1.0 + params.eta
-    residual_threshold = 10.0 * growth * consts.b_bar * max(stop.d_tol, 1e-300)
-    reports.append(check_cauchy(trace, residual_threshold))
+    reports.append(check_residual_bound(trace, consts.beta, consts.lipschitz, k_start=k_start))
+    # Computable consequence of convergence at a d_tol stop: the last row K
+    # has d_norm <= d_tol, so residual_bound allows it a residual of at most
+    # b_K * d_tol; cauchy_tail allows ten times that.
+    b_last = consts.beta + consts.lipschitz * _extrapolation(trace.records[-1])
+    reports.append(check_cauchy(trace, 10.0 * b_last * max(stop.d_tol, 1e-300)))
     return reports, consts, k_stab
 
 

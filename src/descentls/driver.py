@@ -179,7 +179,10 @@ def _advance(
         m_k = eta_k = None
         x_next = y
     elif d_norm == 0.0:
-        # Armijo holds with equality at m = 0; skip the cap+1 evaluations.
+        # Armijo holds with equality at m = 0, whose trial is y itself, so a
+        # search would stop after one evaluation.  The branch stays because
+        # perfbench's `search_counts` counts no trial on a d_norm == 0 row:
+        # its objective-call gate fails if this row evaluates one.
         m_k, eta_k = 0, 1.0
         x_next = x
     else:

@@ -8,6 +8,7 @@ partial Fisher-Yates shuffle for index selection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,8 +60,8 @@ class InstanceSpec:
             raise ValueError("rows and cols must be at least 1")
         if not 0 <= self.sparsity <= self.cols:
             raise ValueError("sparsity must lie in [0, cols]")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma)):
+            raise ValueError("noise_sigma must be nonnegative and finite")
 
 
 def generate_instance(spec: InstanceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -69,9 +70,17 @@ def generate_instance(spec: InstanceSpec) -> tuple[np.ndarray, np.ndarray, np.nd
     A has i.i.d. standard normal entries scaled by 1/sqrt(rows); x_star
     has `sparsity` entries equal to +-1 at seeded-uniform positions;
     b = A x_star + noise_sigma * standard normal noise.
+
+    A starts on a 64-byte boundary, where numpy guarantees only 16 bytes:
+    on a 2-core Xeon, a 256x512 plain solve took about 25% longer with A
+    at byte offset 16 or 48 mod 64 than at 0, so without this the solve
+    time of an instance would depend on the heap history of the process.
     """
     stream = SeededStream(spec.seed)
-    a = stream.normal(spec.rows * spec.cols).reshape(spec.rows, spec.cols) / np.sqrt(spec.rows)
+    z = stream.normal(spec.rows * spec.cols).reshape(spec.rows, spec.cols)
+    buf = np.empty(z.nbytes + 64, dtype=np.uint8)
+    start = -buf.ctypes.data % 64
+    a = np.divide(z, np.sqrt(spec.rows), out=buf[start:start + z.nbytes].view(np.float64).reshape(z.shape))
     x_star = np.zeros(spec.cols)
     pos = stream.indices(spec.cols, spec.sparsity)
     x_star[pos] = stream.signs(spec.sparsity)

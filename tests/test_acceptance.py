@@ -13,7 +13,6 @@ import pytest
 from descentls.cli import main as cli_main
 from descentls.diagnostics import (
     ETA_MAX,
-    check_residual_bound,
     check_sufficient_decrease,
     check_support,
     derive_constants,
@@ -35,6 +34,11 @@ from descentls.steps import IHTStep
 PARAMS = LineSearchParams(alpha=0.1, eta=0.5, cap=20)
 STOP = StopCriteria(max_iters=10_000, d_tol=1e-10)
 SEEDS = range(1, 51)
+
+
+def extrapolation(r) -> float:
+    """t_k of a row: its accepted eta_k, 0 on a failed search and on a plain row."""
+    return 0.0 if r.eta_k is None else r.eta_k
 
 
 def report(criterion: str, ok: bool) -> bool:
@@ -85,9 +89,9 @@ def test_criterion_2_sufficient_decrease(seeded_runs):
     for seed, step, ls, plain in seeded_runs:
         L = step.prob.quad.lipschitz
         for trace in (ls, plain):
-            consts = derive_constants(step, PARAMS, trace)
+            consts = derive_constants(step)
             assert consts.nu == (step.h - L) / 2.0
-            rep = check_sufficient_decrease(trace, consts.a)
+            rep = check_sufficient_decrease(trace, consts.nu, PARAMS.alpha)
             ok = ok and rep.passed
     assert report("2 sufficient decrease, zero violations over 50 seeds", ok)
 
@@ -96,9 +100,9 @@ def test_criterion_3_residual_bound_after_stabilization(seeded_runs):
     ok = True
     for seed, step, ls, plain in seeded_runs:
         L = step.prob.quad.lipschitz
-        # The search constant b = beta + L * eta bounds both variants.
-        b = derive_constants(step, PARAMS, ls).b
-        assert b == L * PARAMS.eta + (step.h + L)
+        # Each row is bounded by its own b_k = beta + L * t_k; t_k = 0 on plain rows.
+        beta = derive_constants(step).beta
+        assert beta == step.h + L
         for trace in (ls, plain):
             k_stab, sup = check_support(trace, step.threshold)
             if k_stab is None:
@@ -106,7 +110,7 @@ def test_criterion_3_residual_bound_after_stabilization(seeded_runs):
                 continue
             for k in range(k_stab, len(trace.records)):
                 r = trace.records[k]
-                if r.residual > b * r.d_norm + 1e-9:
+                if r.residual > (beta + L * extrapolation(r)) * r.d_norm + 1e-9:
                     ok = False
     assert report("3 residual bound for k >= K_stab; K_stab exists in all 50 runs", ok)
 
@@ -114,7 +118,7 @@ def test_criterion_3_residual_bound_after_stabilization(seeded_runs):
 def test_criterion_4_sandwich_and_summability(seeded_runs):
     ok = True
     for seed, step, ls, plain in seeded_runs:
-        a = derive_constants(step, PARAMS, ls).a
+        nu = derive_constants(step).nu
         # sandwich: the update moves by exactly (1 + eta_k) d^k, and the
         # extrapolation factor never exceeds 1 + eta^0 (m = 0 is admissible)
         for r in ls.records:
@@ -122,14 +126,15 @@ def test_criterion_4_sandwich_and_summability(seeded_runs):
                 ratio = 1.0 + (r.eta_k if r.m_k != ARMIJO_FAILED else 0.0)
                 if not 1.0 <= ratio <= 1.0 + ETA_MAX:
                     ok = False
-        # summability: running sums of ||d||^2 against the total decrease
+        # summability: running sums of a_k * ||d||^2, a_k = nu + alpha * t_k,
+        # against the total decrease
         phi0 = ls.records[0].phi_x
         partial = 0.0
         for k, r in enumerate(ls.records):
-            partial += r.d_norm ** 2
+            partial += (nu + PARAMS.alpha * extrapolation(r)) * r.d_norm ** 2
             phi_next = ls.records[k + 1].phi_x if k + 1 < len(ls.records) else ls.final_phi
-            bound = (phi0 - phi_next) / a
-            if partial > bound + 1e-9 * max(1.0, abs(bound)):
+            drop = phi0 - phi_next
+            if partial > drop + 1e-9 * max(1.0, abs(drop)):
                 ok = False
     assert report("4 step sandwich and squared-step summability at every k", ok)
 

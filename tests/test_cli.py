@@ -90,7 +90,9 @@ def test_usage_errors(tmp_path, capsys, micro_files):
                                  ("--lambda", "0", "lam must be positive and finite"),
                                  ("--lambda", "nan", "lam must be positive and finite"),
                                  ("--zero-tol", "nan", "zero_tol must be"),
-                                 ("--zero-tol", "inf", "zero_tol must be")]:
+                                 ("--zero-tol", "inf", "zero_tol must be"),
+                                 ("--noise", "nan", "noise_sigma must be nonnegative and finite"),
+                                 ("--noise", "inf", "noise_sigma must be nonnegative and finite")]:
         capsys.readouterr()
         assert main(["run", "--seed", "1", flag, value, "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
@@ -98,6 +100,9 @@ def test_usage_errors(tmp_path, capsys, micro_files):
         capsys.readouterr()
         assert main(["compare", "--seed", "1", "--compare-tol", value, "--out", str(out)]) == 2
         assert "error: --compare-tol must be nonnegative and finite" in capsys.readouterr().err
+    capsys.readouterr()
+    assert main(["gen", "--seed", "1", "--noise", "nan", "--out", str(out)]) == 2
+    assert "error: noise_sigma must be nonnegative and finite" in capsys.readouterr().err
     assert not out.exists()
     assert main(["run", "--matrix", str(micro_files / "A.csv"), "--out", str(tmp_path)]) == 2
     assert main(["run", "--matrix", str(tmp_path / "missing.csv"),

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from descentls.diagnostics import (
     run_diagnostics,
     summarize,
 )
-from descentls.driver import LineSearchParams, StopCriteria, StopReason, run, run_plain
+from descentls.driver import ARMIJO_FAILED, LineSearchParams, StopCriteria, StopReason, run, run_plain
 from descentls.instances import InstanceSpec, generate_instance
 from descentls.objectives import L0LeastSquares, SmoothQuadratic
 from descentls.steps import IHTStep, ProxGradientStep
@@ -38,45 +39,50 @@ def seeded():
     return step, trace
 
 
+def extrapolation(r) -> float:
+    """t_k of a row: its accepted eta_k, 0 on a failed search and on a plain row."""
+    return 0.0 if r.eta_k is None else r.eta_k
+
+
 def test_derived_constants_relations(micro):
     l0_step, _ = micro
     quad = l0_step.prob.quad
     smooth_step = ProxGradientStep(prob=quad, h=2.0)
     L = quad.lipschitz
     for step in (l0_step, smooth_step):
+        # L, nu and beta come from the step alone; nothing else is trace-wide.
+        c = derive_constants(step)
+        assert [f.name for f in fields(c)] == ["lipschitz", "nu", "beta"]
+        assert (c.lipschitz, c.nu, c.beta) == (L, step.prob.nu(step.h), step.h + L)
         for params in (PARAMS, None):
+            # Each check reports the a_k = nu + alpha * t_k or b_k = beta + L * t_k
+            # of its least-slack row; a plain row has t_k = 0.
             trace = run(np.zeros(2), step, params, STOP)
-            c = derive_constants(step, PARAMS, trace)
-            # nu and beta come from the step alone, on plain and search traces.
-            assert c.lipschitz == L
-            assert c.nu == step.prob.nu(step.h)
-            assert c.beta == step.h + L
+            decrease = check_sufficient_decrease(trace, c.nu, PARAMS.alpha)
+            t = extrapolation(trace.records[decrease.at_iteration])
+            assert decrease.constant_used == c.nu + PARAMS.alpha * t
+            residual = check_residual_bound(trace, c.beta, L)
+            assert residual.constant_used in {c.beta + L * extrapolation(r) for r in trace.records}
             if params is None:
-                assert (c.eta_plus, c.a, c.b, c.a_bar, c.b_bar) == (0.0, c.nu, c.beta, c.nu, c.beta)
-            else:
-                assert c.eta_plus == min(r.eta_k for r in trace.records)
-                assert c.a == pytest.approx(c.nu + PARAMS.alpha * c.eta_plus)
-                assert c.a_bar == pytest.approx(c.a / (1 + PARAMS.eta))
-                assert c.b == pytest.approx(c.beta + L * PARAMS.eta)
-                assert c.b_bar == pytest.approx((1 + PARAMS.eta) * c.b)
+                assert (decrease.constant_used, residual.constant_used) == (c.nu, c.beta)
     assert l0_step.prob.nu(2.0) == (2.0 - L) / 2.0
     assert smooth_step.prob.nu(2.0) == 2.0 - L / 2.0
 
 
 def test_sufficient_decrease_passes(micro):
     step, trace = micro
-    consts = derive_constants(step, PARAMS, trace)
-    report = check_sufficient_decrease(trace, consts.a)
+    consts = derive_constants(step)
+    report = check_sufficient_decrease(trace, consts.nu, PARAMS.alpha)
     assert report.passed
-    # eta_plus = 1 on this trace, a = nu + alpha
-    assert consts.eta_plus == 1.0
+    # every row has eta_k = 1 on this trace, so a_k = nu + alpha
+    assert all(r.eta_k == 1.0 for r in trace.records)
     assert report.constant_used == pytest.approx(step.prob.nu(step.h) + PARAMS.alpha)
 
 
 def test_sufficient_decrease_constant_trace(micro):
     step, _ = micro
     trace = run(np.array([3.0, 0.0]), step, PARAMS, STOP)
-    report = check_sufficient_decrease(trace, derive_constants(step, PARAMS, trace).a)
+    report = check_sufficient_decrease(trace, derive_constants(step).nu, PARAMS.alpha)
     assert report.passed and report.worst_violation == 0.0
 
 
@@ -85,14 +91,15 @@ def test_sufficient_decrease_catches_increasing_phi(micro):
     corrupted = copy.deepcopy(trace)
     # Large enough to make Phi increase across the first transition.
     corrupted.records[1].phi_x += 10.0
-    report = check_sufficient_decrease(corrupted, derive_constants(step, PARAMS, corrupted).a)
+    report = check_sufficient_decrease(corrupted, derive_constants(step).nu, PARAMS.alpha)
     assert not report.passed
     assert report.at_iteration == 0
 
 
 def test_residual_bound_micro(micro):
     step, trace = micro
-    report = check_residual_bound(trace, derive_constants(step, PARAMS, trace).b, k_start=1)
+    c = derive_constants(step)
+    report = check_residual_bound(trace, c.beta, c.lipschitz, k_start=1)
     assert report.passed
 
 
@@ -101,15 +108,16 @@ def test_residual_bound_gradient_descent():
     quad = SmoothQuadratic.from_data(rng.standard_normal((6, 6)), rng.standard_normal(6))
     gd = ProxGradientStep(prob=quad, h=quad.lipschitz)
     trace = run(np.zeros(6), gd, PARAMS, STOP)
-    report = check_residual_bound(trace, derive_constants(gd, PARAMS, trace).b)
+    c = derive_constants(gd)
+    report = check_residual_bound(trace, c.beta, c.lipschitz)
     assert report.passed
 
 
 def test_residual_bound_vacuous_range(micro):
     step, trace = micro
-    report = check_residual_bound(trace, derive_constants(step, PARAMS, trace).b,
-                                  k_start=len(trace.records))
-    assert report.passed and report.worst_violation == 0.0
+    c = derive_constants(step)
+    report = check_residual_bound(trace, c.beta, c.lipschitz, k_start=len(trace.records))
+    assert report.passed and report.worst_violation == 0.0 and report.constant_used == c.beta
 
 
 def test_residual_bound_catches_corruption(seeded):
@@ -117,7 +125,8 @@ def test_residual_bound_catches_corruption(seeded):
     corrupted = copy.deepcopy(trace)
     corrupted.records[-1].residual += 1.0
     k_stab, _ = check_support(trace, step.threshold)
-    report = check_residual_bound(corrupted, derive_constants(step, PARAMS, corrupted).b, k_start=k_stab)
+    c = derive_constants(step)
+    report = check_residual_bound(corrupted, c.beta, c.lipschitz, k_start=k_stab)
     assert not report.passed
 
 
@@ -125,24 +134,62 @@ def test_residual_bound_catches_corruption(seeded):
 def test_checks_are_sharp_at_their_constant(seeded, params):
     # Each check passes with the extreme constant that the trace's own
     # columns support, TOL slack included, and fails just beyond it, at the
-    # latest on the row that sets that constant.
+    # latest on the row that sets that constant.  A slope of 0 makes the
+    # per-row constant that scalar on every row.
     step, _ = seeded
     trace = run(np.zeros(32), step, params, STOP)
     rows = trace.records
     phi_next = [r.phi_x for r in rows[1:]] + [trace.final_phi]
     a_max, a_row = min(((r.phi_x - nxt + TOL * max(1.0, abs(r.phi_x))) / r.d_norm ** 2, r.k)
                        for r, nxt in zip(rows, phi_next) if r.d_norm > 0)
-    assert check_sufficient_decrease(trace, a_max).passed
-    report = check_sufficient_decrease(trace, a_max * (1 + 1e-6))
+    assert check_sufficient_decrease(trace, a_max, 0.0).passed
+    report = check_sufficient_decrease(trace, a_max * (1 + 1e-6), 0.0)
     assert not report.passed and report.at_iteration <= a_row and report.constant_used == a_max * (1 + 1e-6)
 
     k_stab, _ = check_support(trace, step.threshold)
     b_min, b_row = max(((r.residual - TOL) / r.d_norm, r.k) for r in rows[k_stab:] if r.d_norm > 0)
     assert b_min > 0
-    assert check_residual_bound(trace, b_min, k_start=k_stab).passed
-    report = check_residual_bound(trace, b_min * (1 - 1e-6), k_start=k_stab)
+    assert check_residual_bound(trace, b_min, 0.0, k_start=k_stab).passed
+    report = check_residual_bound(trace, b_min * (1 - 1e-6), 0.0, k_start=k_stab)
     assert not report.passed and k_stab <= report.at_iteration <= b_row
     assert report.constant_used == b_min * (1 - 1e-6)
+
+
+def test_checks_are_sharp_at_each_rows_constant():
+    # A search trace with m = 0 rows, m >= 1 rows and failed rows; every row
+    # meets its own bound from row 0 on.
+    a, b, _ = generate_instance(InstanceSpec(16, 32, 3, 0.01, seed=1))
+    step = IHTStep.default(L0LeastSquares(quad=SmoothQuadratic.from_data(a, b), lam=0.01))
+    trace = run(np.zeros(32), step, PARAMS, STOP)
+    c = derive_constants(step)
+    assert check_sufficient_decrease(trace, c.nu, PARAMS.alpha).passed
+    assert check_residual_bound(trace, c.beta, c.lipschitz).passed
+    rows = [next(r for r in trace.records if r.d_norm > 0 and kind(r.m_k))
+            for kind in (lambda m: m == 0, lambda m: m >= 1, lambda m: m == ARMIJO_FAILED)]
+    for r in rows:
+        k, t = r.k, extrapolation(r)
+        b_k = c.beta + c.lipschitz * t
+        for factor, passed in ((1 + 1e-9, False), (1 - 1e-9, True)):
+            corrupted = copy.deepcopy(trace)
+            corrupted.records[k].residual = (b_k * r.d_norm + TOL) * factor
+            report = check_residual_bound(corrupted, c.beta, c.lipschitz)
+            assert report.passed is passed, (k, factor)
+            if not passed:
+                assert (report.at_iteration, report.constant_used) == (k, b_k)
+        a_k = c.nu + PARAMS.alpha * t
+        tol_k = TOL * max(1.0, abs(r.phi_x))
+        for shift, passed in ((1e-3 * tol_k, False), (-1e-3 * tol_k, True)):
+            corrupted = copy.deepcopy(trace)
+            corrupted.records[k + 1].phi_x = r.phi_x - a_k * r.d_norm ** 2 + tol_k + shift
+            report = check_sufficient_decrease(corrupted, c.nu, PARAMS.alpha)
+            assert report.passed is passed, (k, shift)
+            if not passed:
+                assert (report.at_iteration, report.constant_used) == (k, a_k)
+    # An m = 0 row extrapolates by t = 1, so its bound is beta + L, not beta + L * eta.
+    m0 = rows[0]
+    corrupted = copy.deepcopy(trace)
+    corrupted.records[m0.k].residual = (c.beta + c.lipschitz * (1 + PARAMS.eta) / 2) * m0.d_norm
+    assert check_residual_bound(corrupted, c.beta, c.lipschitz).passed
 
 
 def test_check_support_micro(micro):
@@ -200,8 +247,8 @@ def test_check_cauchy_flags_large_final_residual(micro):
 
 
 def test_cauchy_threshold_has_the_search_factor_only_on_search_traces(seeded):
-    # 10 * (1 + eta) * b_bar * d_tol after a search; a plain run has no
-    # extrapolation factor, so 10 * beta * d_tol (b_bar = beta there).
+    # 10 * b_K * d_tol with the last row's b_K = beta + L * t_K; a plain run
+    # has no extrapolation factor, so 10 * beta * d_tol.
     step, search = seeded
     plain = run_plain(np.zeros(32), step, STOP)
 
@@ -210,13 +257,43 @@ def test_cauchy_threshold_has_the_search_factor_only_on_search_traces(seeded):
         return next(r for r in reports if r.name == "cauchy_tail"), consts
 
     report, consts = cauchy_tail(search)
-    assert report.constant_used == 10.0 * (1.0 + PARAMS.eta) * consts.b_bar * STOP.d_tol
+    t_last = extrapolation(search.records[-1])
+    assert t_last > 0.0
+    assert report.constant_used == 10.0 * (consts.beta + consts.lipschitz * t_last) * STOP.d_tol
     report, consts = cauchy_tail(plain)
     threshold = 10.0 * consts.beta * STOP.d_tol
     assert report.constant_used == threshold
     # A plain final residual above its own threshold, below the search's, fails.
     plain.records[-1].residual = 1.2 * threshold + TOL
     assert not cauchy_tail(plain)[0].passed
+
+
+@pytest.mark.parametrize("params", [PARAMS, None])
+def test_residual_bound_on_the_last_row_implies_cauchy_tail(seeded, params):
+    # cauchy_tail tests the last row at a d_tol stop against 10 * b_K * d_tol,
+    # and d_norm <= d_tol there: a last-row residual that residual_bound
+    # accepts, cauchy_tail accepts too; whatever cauchy_tail rejects,
+    # residual_bound rejects too.
+    step, _ = seeded
+    trace = run(np.zeros(32), step, params, STOP)
+    assert trace.stop_reason is StopReason.D_TOL
+    consts = derive_constants(step)
+    last = trace.records[-1]
+    b_last = consts.beta + consts.lipschitz * extrapolation(last)
+    bound = b_last * last.d_norm + TOL
+    threshold = 10.0 * b_last * STOP.d_tol + TOL
+    outcomes = set()
+    for residual in [*np.linspace(0.0, 2.0 * threshold, 41), bound * (1 + 1e-9), threshold * (1 + 1e-9)]:
+        corrupted = copy.deepcopy(trace)
+        corrupted.records[-1].residual = residual
+        reports = {r.name: r.passed for r in run_diagnostics(corrupted, step, PARAMS, STOP)[0]}
+        if reports["residual_bound"]:
+            assert reports["cauchy_tail"], residual
+        if not reports["cauchy_tail"]:
+            assert not reports["residual_bound"], residual
+        outcomes.add((reports["residual_bound"], reports["cauchy_tail"]))
+    # The sweep reaches every outcome the implication allows.
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_run_diagnostics_all_pass(seeded):
@@ -254,18 +331,19 @@ def test_summarize(micro, capsys):
     reports, consts, k_stab = run_diagnostics(trace, step, PARAMS, STOP)
     payload, text = summarize(reports, consts, trace.stop_reason, k_stab)
     assert payload["stop_reason"] == "d_tol"
-    assert list(payload["constants"]) == ["lipschitz", "nu", "beta", "eta_plus", "a", "b", "a_bar", "b_bar",
-                                          "k_stab"]
+    assert list(payload["constants"]) == ["lipschitz", "nu", "beta", "k_stab"]
     assert payload["constants"]["lipschitz"] == step.prob.lipschitz
     for r in reports:
         assert r.name in payload and "PASS" in text
     with pytest.raises(ValueError):
-        summarize([])
+        summarize([], consts, trace.stop_reason, k_stab)
 
 
 def test_plain_trace_uses_nu_only(micro):
     step, _ = micro
     trace = run_plain(np.zeros(2), step, STOP)
-    report = check_sufficient_decrease(trace, derive_constants(step, PARAMS, trace).a)
+    c = derive_constants(step)
+    report = check_sufficient_decrease(trace, c.nu, PARAMS.alpha)
     assert report.passed
-    assert report.constant_used == pytest.approx(step.prob.nu(step.h))
+    assert report.constant_used == c.nu == step.prob.nu(step.h)
+    assert check_residual_bound(trace, c.beta, c.lipschitz).constant_used == c.beta

@@ -9,8 +9,17 @@ def test_spec_validation():
         InstanceSpec(rows=0, cols=4, sparsity=1)
     with pytest.raises(ValueError):
         InstanceSpec(rows=4, cols=4, sparsity=5)
-    with pytest.raises(ValueError):
-        InstanceSpec(rows=4, cols=4, sparsity=1, noise_sigma=-0.1)
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_sigma must be nonnegative and finite"):
+            InstanceSpec(rows=4, cols=4, sparsity=1, noise_sigma=sigma)
+
+
+def test_matrix_is_64_byte_aligned():
+    # A solve's speed must not depend on where the heap happened to put A.
+    for rows, cols in ((1, 1), (3, 5), (32, 64)):
+        a, _, _ = generate_instance(InstanceSpec(rows, cols, 1, 0.0, seed=rows))
+        assert a.ctypes.data % 64 == 0
+        assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
 
 
 def test_same_seed_bit_identical():

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from descentls.diagnostics import derive_constants
-from descentls.driver import LineSearchParams, StopCriteria, run_plain
 from descentls.instances import InstanceSpec, generate_instance
 from descentls.objectives import L0LeastSquares, SmoothQuadratic, hard_threshold
 from descentls.steps import IHTStep, ProxGradientStep
@@ -17,8 +16,8 @@ def make_problem(seed=1, lam=0.01, rows=16, cols=32, sparsity=3, noise=0.01):
 
 
 def step_constants(step):
-    """(nu, beta) of a step on a 2-vector, as the diagnostics derive them."""
-    consts = derive_constants(step, LineSearchParams(), run_plain(np.zeros(2), step, StopCriteria(max_iters=1)))
+    """(nu, beta) of a step, as the diagnostics derive them."""
+    consts = derive_constants(step)
     return consts.nu, consts.beta
 
 
