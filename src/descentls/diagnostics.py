@@ -105,11 +105,11 @@ def check_residual_bound(trace: RunTrace, beta: float, lipschitz: float, k_start
 
     For l0 objectives the bound is asymptotic: pass the support
     stabilization index as k_start; smooth objectives use k_start = 0.
-    An empty range passes vacuously.  The reported constant is the b_k of
-    the row with the least slack (the failing row on failure), or beta
-    when the range is empty.
+    An empty range passes vacuously.  The report names the row with the
+    least slack (the failing row on failure) and its b_k, or no row and
+    beta when the range is empty.
     """
-    least, least_b = math.inf, beta
+    least, least_at, least_b = math.inf, None, beta
     for k in range(k_start, len(trace.records)):
         r = trace.records[k]
         b_k = beta + lipschitz * _extrapolation(r)
@@ -117,8 +117,8 @@ def check_residual_bound(trace: RunTrace, beta: float, lipschitz: float, k_start
         if slack < 0.0:
             return CheckReport("residual_bound", False, slack, k, b_k)
         if slack < least:
-            least, least_b = slack, b_k
-    return CheckReport("residual_bound", True, 0.0, None, least_b)
+            least, least_at, least_b = slack, k, b_k
+    return CheckReport("residual_bound", True, 0.0, least_at, least_b)
 
 
 def check_support(trace: RunTrace, threshold: float) -> tuple[Optional[int], CheckReport]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -43,6 +44,12 @@ class NonFiniteObjective(RuntimeError):
     """The objective evaluated to NaN/Inf during a run."""
 
 
+def _require_integer(name: str, value) -> None:
+    """Reject a count that `range` cannot take: a float, or a bool posing as an int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LineSearchParams:
     alpha: float = 0.1
@@ -54,6 +61,7 @@ class LineSearchParams:
             raise ValueError("alpha must be positive and finite")
         if not 0 < self.eta < 1:
             raise ValueError("eta must lie in (0, 1)")
+        _require_integer("cap", self.cap)
         if self.cap < 0:
             raise ValueError("cap must be nonnegative")
 
@@ -66,6 +74,7 @@ class StopCriteria:
     bound_guard: float = 1e12
 
     def __post_init__(self):
+        _require_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (self.d_tol >= 0 and math.isfinite(self.d_tol)):
@@ -113,26 +122,28 @@ def armijo_search(
     d: np.ndarray,
     params: LineSearchParams,
     phi_y: Optional[float] = None,
+    d_sq: Optional[float] = None,
 ) -> tuple[int, float]:
     """Smallest m in {0..cap} satisfying the Armijo condition at y along d.
 
     Returns (m, eta**m), or (ARMIJO_FAILED, 0.0) when no m up to the cap
-    works.  At most cap + 1 objective evaluations; pass phi_y to reuse a
-    cached value of Phi(y).  The comparison is exact floating point, no
-    slack.  A nonzero d whose accepted trial point equals y (t * d vanished
-    against y, as it does for every larger m too) is a failure: the test
-    then held only because nothing moved.
+    works.  At most cap + 1 objective evaluations; pass phi_y and d_sq to
+    reuse cached values of Phi(y) and d.d.  The comparison is exact
+    floating point, no slack.  A nonzero d whose accepted trial point
+    equals y (t * d vanished against y, as it does for every larger m too)
+    is a failure: the test then held only because nothing moved.
     """
     if y.shape != d.shape:
         raise ValueError("y and d must have the same length")
     if phi_y is None:
         phi_y = obj.value(y)
-    d_sq = float(d.dot(d))
+    if d_sq is None:
+        d_sq = float(d.dot(d))
     for m in range(params.cap + 1):
         t = params.eta ** m
         trial = y + t * d
         if obj.value(trial) <= phi_y - params.alpha * t * d_sq:
-            if np.array_equal(trial, y) and d.any():
+            if (trial == y).all() and d.any():
                 return ARMIJO_FAILED, 0.0
             return m, t
     return ARMIJO_FAILED, 0.0
@@ -150,19 +161,25 @@ def iterate(
     record carries no m_k/eta_k.
     """
     obj = step.prob
-    x_next, record, _, _ = _advance(x, obj.support_mask(x), obj.grad(x), step, params, k)
+    x_next, record, _, _ = _advance(x, _support(obj, x), obj.grad(x), step, params, k)
     return x_next, record
+
+
+def _support(obj: Objective, x: np.ndarray) -> tuple[Optional[np.ndarray], Optional[int]]:
+    """The support mask of x and its size; both None when the objective is smooth."""
+    mask = obj.support_mask(x)
+    return mask, None if mask is None else int(np.count_nonzero(mask))
 
 
 def _advance(
     x: np.ndarray,
-    mask: Optional[np.ndarray],
+    support: tuple[Optional[np.ndarray], Optional[int]],
     g: np.ndarray,
     step: ProxGradientStep,
     params: Optional[LineSearchParams],
     k: int,
-) -> tuple[np.ndarray, IterationRecord, Optional[np.ndarray], np.ndarray]:
-    """`iterate` given the support mask and gradient of x; also returns those of x_next.
+) -> tuple[np.ndarray, IterationRecord, tuple[Optional[np.ndarray], Optional[int]], np.ndarray]:
+    """`iterate` given the `_support` and gradient of x; also returns those of x_next.
 
     `run` carries both from one iteration to the next, so each iterate's
     support and gradient are computed once.
@@ -171,7 +188,8 @@ def _advance(
     phi_x = obj.value(x)
     y = step.apply_grad(x, g)
     d = y - x
-    d_norm = norm(d)
+    d_sq = float(d.dot(d))
+    d_norm = math.sqrt(d_sq)  # the bits of norm(d)
     phi_y = obj.value(y)
     if not (math.isfinite(phi_x) and math.isfinite(phi_y) and math.isfinite(d_norm)):
         raise NonFiniteObjective(f"non-finite objective at iteration {k}: phi_x={phi_x}, phi_y={phi_y}")
@@ -186,29 +204,19 @@ def _advance(
         m_k, eta_k = 0, 1.0
         x_next = x
     else:
-        m_k, eta_k = armijo_search(obj, y, d, params, phi_y=phi_y)
+        m_k, eta_k = armijo_search(obj, y, d, params, phi_y=phi_y, d_sq=d_sq)
         x_next = x + (eta_k + 1.0) * d
     g_next = obj.grad(x_next)
-    mask_next = obj.support_mask(x_next)
+    mask, size_x = support
+    mask_next, size = _support(obj, x_next)
     if mask_next is None:
-        size = entered = left = None
+        entered = left = None
     else:
-        size = int(np.count_nonzero(mask_next))
         entered = int(np.count_nonzero(mask_next > mask))
-        left = int(np.count_nonzero(mask > mask_next))
-    record = IterationRecord(
-        k=k,
-        phi_x=phi_x,
-        phi_y=phi_y,
-        d_norm=d_norm,
-        m_k=m_k,
-        eta_k=eta_k,
-        residual=obj.residual_from_grad(g_next, mask_next),
-        support_size=size,
-        support_entered=entered,
-        support_left=left,
-    )
-    return x_next, record, mask_next, g_next
+        left = size_x + entered - size  # from size = size_x + entered - left
+    residual = obj.residual_from_grad(g_next, mask_next)
+    record = IterationRecord(k, phi_x, phi_y, d_norm, m_k, eta_k, residual, size, entered, left)
+    return x_next, record, (mask_next, size), g_next
 
 
 def run(
@@ -222,12 +230,12 @@ def run(
     x = np.asarray(x0, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
-    mask = obj.support_mask(x)
+    support = _support(obj, x)
     g = obj.grad(x)
     records: list[IterationRecord] = []
     reason = StopReason.MAX_ITERS
     for k in range(stop.max_iters):
-        x, record, mask, g = _advance(x, mask, g, step, params, k)
+        x, record, support, g = _advance(x, support, g, step, params, k)
         records.append(record)
         if record.d_norm <= stop.d_tol:
             reason = StopReason.D_TOL

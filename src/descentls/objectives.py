@@ -136,7 +136,10 @@ class L0LeastSquares:
         return self.quad.lipschitz
 
     def value(self, x: np.ndarray) -> float:
-        return self.quad.value(x) + self.lam * int(np.count_nonzero(self.support_mask(x)))
+        # At zero_tol == 0 the support is the nonzero entries, which
+        # count_nonzero counts without building the mask.
+        support = x if self.zero_tol == 0.0 else self.support_mask(x)
+        return self.quad.value(x) + self.lam * int(np.count_nonzero(support))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self.quad.grad(x)

@@ -118,6 +118,25 @@ def test_residual_bound_vacuous_range(micro):
     c = derive_constants(step)
     report = check_residual_bound(trace, c.beta, c.lipschitz, k_start=len(trace.records))
     assert report.passed and report.worst_violation == 0.0 and report.constant_used == c.beta
+    assert report.at_iteration is None
+
+
+@pytest.mark.parametrize("params", [PARAMS, None])
+def test_residual_bound_names_its_least_slack_row(seeded, params):
+    # A passing check reports the row where b_k * d_norm + TOL - residual is
+    # least (the first such row on a tie) and that row's b_k.
+    step, _ = seeded
+    trace = run(np.zeros(32), step, params, STOP)
+    c = derive_constants(step)
+    k_stab, _ = check_support(trace, step.threshold)
+    for k_start in (0, k_stab):
+        rows = trace.records[k_start:]
+        b = [c.beta + c.lipschitz * extrapolation(r) for r in rows]
+        slack = [b_k * r.d_norm + TOL - r.residual for b_k, r in zip(b, rows)]
+        least = int(np.argmin(slack))
+        report = check_residual_bound(trace, c.beta, c.lipschitz, k_start=k_start)
+        assert report.passed and report.worst_violation == 0.0
+        assert (report.at_iteration, report.constant_used) == (k_start + least, b[least])
 
 
 def test_residual_bound_catches_corruption(seeded):

@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -62,6 +63,14 @@ def test_params_validation():
             StopCriteria(d_tol=bad)
         with pytest.raises(ValueError, match="residual_tol"):
             StopCriteria(residual_tol=bad)
+    # A count must be an integer: range() in the solve would raise a TypeError.
+    for bad in (2.5, 20.0, True, False, "3"):
+        with pytest.raises(ValueError, match="cap"):
+            LineSearchParams(cap=bad)
+        with pytest.raises(ValueError, match="max_iters"):
+            StopCriteria(max_iters=bad)
+    assert LineSearchParams(cap=np.int64(3)).cap == 3
+    assert StopCriteria(max_iters=np.int64(3)).max_iters == 3
 
 
 def test_armijo_success_at_m0():
@@ -269,3 +278,14 @@ def test_validate_records():
     bad[0].m_k, bad[0].eta_k = 1, 0.25
     with pytest.raises(ValueError, match="record 0: eta_k = 0.25 is not eta"):
         validate_records(bad, PARAMS)
+
+
+@pytest.mark.parametrize("zero_tol", [0.0, 1e-3])
+@pytest.mark.parametrize("params", [PARAMS, None])
+def test_record_fields_are_python_scalars(params, zero_tol):
+    # Counts are int and values float, never numpy scalars, whose reprs differ.
+    a, b, _ = generate_instance(InstanceSpec(32, 64, 4, 0.01, seed=1))
+    prob = L0LeastSquares(quad=SmoothQuadratic.from_data(a, b), lam=0.01, zero_tol=zero_tol)
+    trace = run(np.zeros(64), ProxGradientStep.default(prob), params, StopCriteria())
+    assert {type(v) for r in trace.records for v in astuple(r)} <= {float, int, type(None)}
+    assert type(trace.final_phi) is float

@@ -135,3 +135,21 @@ def test_iht_fixed_points_have_zero_residual():
         x = x_next
     assert np.array_equal(step.apply(x), x)
     assert p.residual(x) <= 1e-12
+
+
+@pytest.mark.parametrize("zero_tol", [0.0, 1e-3])
+def test_l0_value_is_the_mask_formula_as_a_python_float(zero_tol):
+    # value counts nonzeros directly at zero_tol == 0 and through the mask
+    # otherwise; both give the bits of the mask formula, as a Python float.
+    a, b, _ = generate_instance(InstanceSpec(4, 8, 2, 0.01, seed=3))
+    quad = SmoothQuadratic.from_data(a, b)
+    p = L0LeastSquares(quad=quad, lam=0.01, zero_tol=zero_tol)
+    below, above = np.nextafter(1e-3, 0.0), np.nextafter(1e-3, 1.0)
+    x = np.array([-0.0, 5e-324, -5e-324, 0.0, 1e-3, below, above, -above])
+    for v in (x, -x, x[::-1].copy(), np.zeros(8), np.full(8, -0.0)):
+        value = p.value(v)
+        assert type(value) is float
+        expected = quad.value(v) + p.lam * int(np.count_nonzero(np.abs(v) > zero_tol))
+        assert value.hex() == expected.hex()
+    counted = round((p.value(x) - quad.value(x)) / p.lam)
+    assert counted == (6 if zero_tol == 0.0 else 2)

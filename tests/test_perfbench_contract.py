@@ -35,8 +35,10 @@ def test_traced_solve_matches_untraced(perfbench, variant):
     traced_step, counts = tracing.instrument(step, tracing.Tracer())
     traced = measure.solve(variant, traced_step)
     assert measure.same_run(traced, untraced)
-    searches, _, trials = measure.search_counts(traced)
+    searches, failed, trials = measure.search_counts(traced)
     assert (searches > 0) == (variant == "search")
+    # A failed search costs cap + 1 evaluations; the counts below cover that path too.
+    assert (failed > 0) == (variant == "search")
     # phi_x and phi_y per iteration, every Armijo trial, and final_phi.
     assert counts["value"] == 2 * len(traced.records) + trials + 1
     # Those evaluations plus one gradient per iterate, x0 included.
