@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import aligned_empty
+
 
 class SeededStream:
     """Deterministic random stream: PCG64 uniforms + explicit Box-Muller."""
@@ -69,18 +71,12 @@ def generate_instance(spec: InstanceSpec) -> tuple[np.ndarray, np.ndarray, np.nd
 
     A has i.i.d. standard normal entries scaled by 1/sqrt(rows); x_star
     has `sparsity` entries equal to +-1 at seeded-uniform positions;
-    b = A x_star + noise_sigma * standard normal noise.
-
-    A starts on a 64-byte boundary, where numpy guarantees only 16 bytes:
-    on a 2-core Xeon, a 256x512 plain solve took about 25% longer with A
-    at byte offset 16 or 48 mod 64 than at 0, so without this the solve
-    time of an instance would depend on the heap history of the process.
+    b = A x_star + noise_sigma * standard normal noise.  A starts on a
+    64-byte boundary (`linalg.aligned_empty`).
     """
     stream = SeededStream(spec.seed)
     z = stream.normal(spec.rows * spec.cols).reshape(spec.rows, spec.cols)
-    buf = np.empty(z.nbytes + 64, dtype=np.uint8)
-    start = -buf.ctypes.data % 64
-    a = np.divide(z, np.sqrt(spec.rows), out=buf[start:start + z.nbytes].view(np.float64).reshape(z.shape))
+    a = np.divide(z, np.sqrt(spec.rows), out=aligned_empty(z.shape))
     x_star = np.zeros(spec.cols)
     pos = stream.indices(spec.cols, spec.sparsity)
     x_star[pos] = stream.signs(spec.sparsity)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from descentls.cli import main
+from descentls.cli import build_parser, main
 from descentls.driver import read_trace_records
 from descentls.linalg import load_matrix, load_vector, save_matrix, save_vector
 from descentls.objectives import SmoothQuadratic
@@ -33,6 +33,45 @@ def test_gen_is_deterministic(tmp_path):
     assert np.array_equal(load_matrix(out1 / "A.csv"), load_matrix(out2 / "A.csv"))
     assert np.array_equal(load_vector(out1 / "b.csv"), load_vector(out2 / "b.csv"))
     assert np.count_nonzero(load_vector(out1 / "x_star.csv")) == 4
+
+
+def test_main_parses_each_call_afresh(tmp_path, capsys):
+    # main reuses one parser; no flag of an earlier call may carry over.
+    assert build_parser() is not build_parser()
+    assert main(["gen", "--seed", "5", "--rows", "4", "--cols", "8", "--out", str(tmp_path / "a")]) == 0
+    assert main(["gen", "--out", str(tmp_path / "b")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith("A.csv (4x8), b.csv, x_star.csv (seed 5)")
+    assert lines[1].endswith("A.csv (32x64), b.csv, x_star.csv (seed 42)")
+
+
+def test_outputs_do_not_depend_on_the_twin(tmp_path, capsys):
+    # gen writes A.csv.f64 next to A.csv; deleting it only makes run parse the CSV.
+    data = tmp_path / "data"
+    assert main(["gen", "--seed", "3", "--out", str(data)]) == 0
+    assert (data / "A.csv.f64").is_file()
+    argv = ["--matrix", str(data / "A.csv"), "--rhs", str(data / "b.csv"), "--out", str(tmp_path / "out")]
+    outputs = []
+    for _ in range(2):
+        capsys.readouterr()
+        assert main(["compare", *argv]) == 0
+        assert main(["run", *argv]) == 0
+        outputs.append([capsys.readouterr().out] + [(tmp_path / "out" / name).read_bytes() for name in
+                                                     ("compare.json", "search_trace.csv", "trace.csv",
+                                                      "verify.json")])
+        (data / "A.csv.f64").unlink(missing_ok=True)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("empty", ["A.csv", "b.csv"])
+def test_empty_csv_is_a_usage_error(tmp_path, capsys, micro_files, empty):
+    (micro_files / empty).write_text("# no data\n\n")
+    capsys.readouterr()
+    assert main(["run", *micro_args(micro_files, tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {micro_files / empty} holds no data\n"
 
 
 def test_run_micro_instance(tmp_path, micro_files):

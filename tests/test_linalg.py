@@ -1,9 +1,14 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
+from descentls import linalg
 from descentls.linalg import (
     SPECTRAL_SAFETY,
     DimensionMismatch,
+    aligned_empty,
     as_matrix,
     as_vector,
     load_matrix,
@@ -14,6 +19,7 @@ from descentls.linalg import (
     save_vector,
     spectral_norm_sq,
     transpose_matvec,
+    twin_path,
 )
 
 
@@ -165,3 +171,127 @@ def test_csv_round_trip(tmp_path):
     save_vector(v, tmp_path / "v.csv")
     assert np.array_equal(load_matrix(tmp_path / "a.csv"), a)
     assert np.array_equal(load_vector(tmp_path / "v.csv"), v)
+
+
+# Values whose CSV text is hardest to round-trip: a signed zero, the
+# smallest subnormal and the largest magnitudes.
+SPECIAL = [-0.0, 5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308]
+
+
+def special_matrix(rows, cols, seed=0):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-300, 300, (rows, cols))
+    flat = a.reshape(-1)
+    for i, v in enumerate(SPECIAL):
+        flat[(7 * i) % flat.size] = v
+    return a
+
+
+def parsed(path):
+    return np.loadtxt(path, delimiter=",", ndmin=2)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (32, 64), (65, 64), (3, 5000), (4097, 1)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_save_writes_the_bytes_of_savetxt(tmp_path, shape):
+    # 65x64, 3x5000 and 4097x1 cross the writer's block of 1024 values.
+    a = special_matrix(*shape)
+    save_matrix(a, tmp_path / "a.csv")
+    np.savetxt(tmp_path / "a_ref.csv", a, fmt="%.17g", delimiter=",")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "a_ref.csv").read_bytes()
+    v = a.reshape(-1)[:max(shape)]
+    save_vector(v, tmp_path / "v.csv")
+    np.savetxt(tmp_path / "v_ref.csv", v, fmt="%.17g", delimiter=",")
+    assert (tmp_path / "v.csv").read_bytes() == (tmp_path / "v_ref.csv").read_bytes()
+    assert same_bits(load_vector(tmp_path / "v.csv"), v)
+
+
+def _edit_first_value(path, text):
+    data = path.read_bytes()
+    path.write_bytes(text + data[data.index(b","):])
+
+
+def _patch_header(path, **fields):
+    data = path.read_bytes()
+    header = linalg._TWIN_HEADER
+    values = dict(zip(("tag", "rows", "cols", "csv_sha", "payload_sha"), header.unpack(data[:header.size])))
+    values.update(fields)
+    path.write_bytes(header.pack(*values.values()) + data[header.size:])
+
+
+def _flip_last_byte(path):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 1
+    path.write_bytes(bytes(data))
+
+
+# Each state of the twin, set up after save_matrix; only "fresh" may use it.
+TWIN_STATES = {
+    "fresh": lambda csv, twin: None,
+    # The first value "-0" becomes "-1", or "-0.5": a stale twin either way.
+    "csv-edited-same-length": lambda csv, twin: _edit_first_value(csv, b"-1"),
+    "csv-edited-other-length": lambda csv, twin: _edit_first_value(csv, b"-0.5"),
+    "twin-truncated": lambda csv, twin: twin.write_bytes(twin.read_bytes()[:-1]),
+    "payload-byte-flipped": lambda csv, twin: _flip_last_byte(twin),
+    "wrong-tag": lambda csv, twin: _patch_header(twin, tag=b"DLSF64v0"),
+    "larger-shape": lambda csv, twin: _patch_header(twin, rows=5),
+    "huge-shape": lambda csv, twin: _patch_header(twin, rows=2**40, cols=2**20),
+    "header-only": lambda csv, twin: twin.write_bytes(twin.read_bytes()[:linalg._TWIN_HEADER.size]),
+    # Consistent in size and digests, but save_matrix never writes an empty matrix.
+    "zero-rows": lambda csv, twin: (twin.write_bytes(twin.read_bytes()[:linalg._TWIN_HEADER.size]),
+                                    _patch_header(twin, rows=0, payload_sha=hashlib.sha256(b"").digest())),
+    "twin-missing": lambda csv, twin: twin.unlink(),
+    "hand-written-csv": lambda csv, twin: (twin.unlink(), csv.write_text(
+        "-0, 5e-324 ,1e308\n# a comment\n\n1.5,-2E3,4.9406564584124654e-324\n")),
+}
+
+
+@pytest.mark.parametrize("state", TWIN_STATES)
+def test_load_matrix_returns_the_bits_of_loadtxt(tmp_path, monkeypatch, state):
+    csv = tmp_path / "A.csv"
+    a = special_matrix(4, 3)
+    assert a[0, 0] == 0.0 and np.signbit(a[0, 0])
+    save_matrix(a, csv)
+    twin = tmp_path / "A.csv.f64"
+    assert twin_path(csv) == str(twin) and twin.is_file()
+    TWIN_STATES[state](csv, twin)
+    want = parsed(csv)
+    calls = []
+    real_loadtxt = np.loadtxt
+
+    def loadtxt(*args, **kwargs):
+        if state == "fresh":
+            raise AssertionError("a valid twin must spare the parse")
+        calls.append(args)
+        return real_loadtxt(*args, **kwargs)
+
+    def allocate(shape):
+        if shape != want.shape:
+            raise AssertionError(f"allocated {shape} for a {want.shape} matrix")
+        return aligned_empty(shape)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    monkeypatch.setattr(linalg, "aligned_empty", allocate)
+    got = load_matrix(csv)
+    assert same_bits(got, want)
+    assert len(calls) == (state != "fresh")
+    if state == "fresh":
+        assert same_bits(got, a) and got.ctypes.data % 64 == 0 and got.flags.writeable
+
+
+def test_load_matrix_needs_the_csv_even_with_a_valid_twin(tmp_path):
+    save_matrix(np.eye(2), tmp_path / "A.csv")
+    (tmp_path / "A.csv").unlink()
+    with pytest.raises(FileNotFoundError):
+        load_matrix(tmp_path / "A.csv")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n\n# and another\n"],
+                         ids=["empty", "blank", "comments"])
+@pytest.mark.parametrize("load", [load_matrix, load_vector])
+def test_load_rejects_a_file_without_data(tmp_path, text, load):
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} holds no data$"):
+        load(path)
