@@ -23,7 +23,6 @@ from .driver import (
     StopCriteria,
     StopReason,
     armijo_search,
-    iterate,
     iterations_to_tolerance,
     read_trace_records,
     run,

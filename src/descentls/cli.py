@@ -2,7 +2,7 @@
 
 Commands: gen, run, run-plain, compare, verify.  Exit codes: 0 = success
 and all checks pass, 1 = a verification check failed, 2 = usage or I/O
-error.
+error, or an input on which the objective is not finite.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from . import diagnostics
 from .driver import (
     IterationRecord,
     LineSearchParams,
+    NonFiniteObjective,
     RunTrace,
     StopCriteria,
     iterations_to_tolerance,
     read_trace_records,
     run,
-    run_plain,
     validate_records,
     write_trace,
 )
@@ -39,13 +39,7 @@ from .steps import DEFAULT_H_FACTOR, ProxGradientStep
 DEFAULT_SPEC = InstanceSpec(rows=32, cols=64, sparsity=4, noise_sigma=0.01, seed=42)
 
 
-class CheckFailure(Exception):
-    """A verification check failed (exit code 1)."""
-
-
-def _add_instance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--matrix", type=Path, help="CSV file with the measurement matrix A")
-    p.add_argument("--rhs", type=Path, help="CSV file with the data vector b")
+def _add_generator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rows", type=int, default=DEFAULT_SPEC.rows)
     p.add_argument("--cols", type=int, default=DEFAULT_SPEC.cols)
     p.add_argument("--sparsity", type=int, default=DEFAULT_SPEC.sparsity)
@@ -65,8 +59,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d-tol", type=float, default=StopCriteria.d_tol)
     p.add_argument("--residual-tol", type=float, default=StopCriteria.residual_tol)
     p.add_argument("--bound-guard", type=float, default=StopCriteria.bound_guard)
-    p.add_argument("--zero-tol", type=float, default=L0LeastSquares.zero_tol,
-                   help="support tolerance for externally loaded vectors")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
 
@@ -76,25 +68,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a seeded instance and write A.csv, b.csv, x_star.csv")
-    _add_instance_flags(p_gen)
+    _add_generator_flags(p_gen)
     p_gen.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    p_gen.set_defaults(func=cmd_gen)
 
-    for name, help_text in [
-        ("run", "run IHT with line search, write trace.csv and verify.json"),
-        ("run-plain", "run plain IHT, write plain_trace.csv and verify.json"),
-        ("compare", "run both variants from x0 = 0, write traces and compare.json"),
+    for name, func, help_text in [
+        ("run", cmd_run, "run IHT with line search, write trace.csv and verify.json"),
+        ("run-plain", functools.partial(cmd_run, plain=True),
+         "run plain IHT, write plain_trace.csv and verify.json"),
+        ("compare", cmd_compare, "run both variants from x0 = 0, write traces and compare.json"),
+        ("verify", cmd_verify, "check a trace CSV against its instance and configuration"),
     ]:
         p = sub.add_parser(name, help=help_text)
-        _add_instance_flags(p)
+        p.set_defaults(func=func)
+        p.add_argument("--matrix", type=Path, help="CSV file with the measurement matrix A")
+        p.add_argument("--rhs", type=Path, help="CSV file with the data vector b")
+        _add_generator_flags(p)
         _add_solver_flags(p)
         if name == "compare":
             p.add_argument("--compare-tol", type=float, default=1e-6,
                            help="step-length tolerance for iterations-to-tolerance counts")
-
-    p_ver = sub.add_parser("verify", help="check a trace CSV against its instance and configuration")
-    _add_instance_flags(p_ver)
-    _add_solver_flags(p_ver)
-    p_ver.add_argument("--trace", type=Path, required=True)
+        if name == "verify":
+            p.add_argument("--trace", type=Path, required=True)
     return parser
 
 
@@ -113,6 +108,11 @@ class Problem:
     x0: np.ndarray
 
 
+def _spec(args) -> InstanceSpec:
+    return InstanceSpec(rows=args.rows, cols=args.cols, sparsity=args.sparsity,
+                        noise_sigma=args.noise, seed=args.seed)
+
+
 def _build_problem(args) -> Problem:
     if (args.matrix is None) != (args.rhs is None):
         raise ValueError("--matrix and --rhs must be given together")
@@ -120,11 +120,9 @@ def _build_problem(args) -> Problem:
         a = load_matrix(args.matrix)
         b = load_vector(args.rhs)
     else:
-        spec = InstanceSpec(rows=args.rows, cols=args.cols, sparsity=args.sparsity,
-                            noise_sigma=args.noise, seed=args.seed)
-        a, b, _ = generate_instance(spec)
+        a, b, _ = generate_instance(_spec(args))
     quad = SmoothQuadratic.from_data(a, b)
-    prob = L0LeastSquares(quad=quad, lam=args.lam, zero_tol=args.zero_tol)
+    prob = L0LeastSquares(quad=quad, lam=args.lam)
     step = ProxGradientStep.default(prob, h_factor=args.h_factor)
     params = LineSearchParams(alpha=args.alpha, eta=args.eta, cap=args.cap_m)
     stop = StopCriteria(max_iters=args.max_iters, d_tol=args.d_tol,
@@ -151,8 +149,7 @@ def _first_difference(recorded: list[IterationRecord], recomputed: list[Iteratio
 
 
 def cmd_gen(args) -> int:
-    spec = InstanceSpec(rows=args.rows, cols=args.cols, sparsity=args.sparsity,
-                        noise_sigma=args.noise, seed=args.seed)
+    spec = _spec(args)
     a, b, x_star = generate_instance(spec)
     args.out.mkdir(parents=True, exist_ok=True)
     save_matrix(a, args.out / "A.csv")
@@ -179,7 +176,7 @@ def cmd_compare(args) -> int:
         raise ValueError("--compare-tol must be nonnegative and finite")
     problem = _build_problem(args)
     args.out.mkdir(parents=True, exist_ok=True)
-    plain_trace = run_plain(problem.x0, problem.step, problem.stop)
+    plain_trace = run(problem.x0, problem.step, None, problem.stop)
     ls_trace = run(problem.x0, problem.step, problem.params, problem.stop)
     write_trace(plain_trace, args.out / "plain_trace.csv")
     write_trace(ls_trace, args.out / "search_trace.csv")
@@ -221,18 +218,8 @@ def cmd_verify(args) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "run-plain":
-            return cmd_run(args, plain=True)
-        if args.command == "compare":
-            return cmd_compare(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        raise AssertionError(f"unhandled command {args.command}")
-    except (OSError, ValueError) as exc:
+        return args.func(args)
+    except (OSError, ValueError, NonFiniteObjective) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

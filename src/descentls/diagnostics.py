@@ -23,12 +23,11 @@ from .steps import ProxGradientStep
 
 TOL = 1e-9
 
-# Largest extrapolation factor the search can accept: eta^0 = 1 at m = 0.
-# Since x^{k+1} - x^k = (1 + t_k) d^k with 0 <= t_k <= ETA_MAX, the d forms
+# The largest extrapolation factor the search can accept is eta^0 = 1, at
+# m = 0.  Since x^{k+1} - x^k = (1 + t_k) d^k with 0 <= t_k <= 1, the d forms
 # the checks test give the x-increment forms with trace-wide constants:
-# a decrease of nu/(1+ETA_MAX)^2 * ||x^{k+1}-x^k||^2 and a residual of at
-# most (beta + L*ETA_MAX) * ||x^{k+1}-x^k||.
-ETA_MAX = 1.0
+# a decrease of nu/4 * ||x^{k+1}-x^k||^2 and a residual of at most
+# (beta + L) * ||x^{k+1}-x^k||.
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Capped Armijo extrapolation search and the main iteration loops.
+"""Capped Armijo extrapolation search and the iteration loop.
 
 One iteration computes y = step.apply(x), d = y - x, then searches for the
 smallest m in {0..cap} with
@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -149,104 +149,73 @@ def armijo_search(
     return ARMIJO_FAILED, 0.0
 
 
-def iterate(
-    x: np.ndarray,
-    step: ProxGradientStep,
-    params: Optional[LineSearchParams] = None,
-    k: int = 0,
-) -> tuple[np.ndarray, IterationRecord]:
-    """One iteration: base step, then the Armijo search and extrapolation.
-
-    With params=None the bare base step is taken: x_next = y and the
-    record carries no m_k/eta_k.
-    """
-    obj = step.prob
-    x_next, record, _, _ = _advance(x, _support(obj, x), obj.grad(x), step, params, k)
-    return x_next, record
-
-
-def _support(obj: Objective, x: np.ndarray) -> tuple[Optional[np.ndarray], Optional[int]]:
-    """The support mask of x and its size; both None when the objective is smooth."""
-    mask = obj.support_mask(x)
-    return mask, None if mask is None else int(np.count_nonzero(mask))
-
-
-def _advance(
-    x: np.ndarray,
-    support: tuple[Optional[np.ndarray], Optional[int]],
-    g: np.ndarray,
-    step: ProxGradientStep,
-    params: Optional[LineSearchParams],
-    k: int,
-) -> tuple[np.ndarray, IterationRecord, tuple[Optional[np.ndarray], Optional[int]], np.ndarray]:
-    """`iterate` given the `_support` and gradient of x; also returns those of x_next.
-
-    `run` carries both from one iteration to the next, so each iterate's
-    support and gradient are computed once.
-    """
-    obj = step.prob
-    phi_x = obj.value(x)
-    y = step.apply_grad(x, g)
-    d = y - x
-    d_sq = float(d.dot(d))
-    d_norm = math.sqrt(d_sq)  # the bits of norm(d)
-    phi_y = obj.value(y)
-    if not (math.isfinite(phi_x) and math.isfinite(phi_y) and math.isfinite(d_norm)):
-        raise NonFiniteObjective(f"non-finite objective at iteration {k}: phi_x={phi_x}, phi_y={phi_y}")
-    if params is None:
-        m_k = eta_k = None
-        x_next = y
-    elif d_norm == 0.0:
-        # Armijo holds with equality at m = 0, whose trial is y itself, so a
-        # search would stop after one evaluation.  The branch stays because
-        # perfbench's `search_counts` counts no trial on a d_norm == 0 row:
-        # its objective-call gate fails if this row evaluates one.
-        m_k, eta_k = 0, 1.0
-        x_next = x
-    else:
-        m_k, eta_k = armijo_search(obj, y, d, params, phi_y=phi_y, d_sq=d_sq)
-        x_next = x + (eta_k + 1.0) * d
-    g_next = obj.grad(x_next)
-    mask, size_x = support
-    mask_next, size = _support(obj, x_next)
-    if mask_next is None:
-        entered = left = None
-    else:
-        entered = int(np.count_nonzero(mask_next > mask))
-        left = size_x + entered - size  # from size = size_x + entered - left
-    residual = obj.residual_from_grad(g_next, mask_next)
-    record = IterationRecord(k, phi_x, phi_y, d_norm, m_k, eta_k, residual, size, entered, left)
-    return x_next, record, (mask_next, size), g_next
-
-
 def run(
     x0: np.ndarray,
     step: ProxGradientStep,
     params: Optional[LineSearchParams],
     stop: StopCriteria,
 ) -> RunTrace:
-    """Iterate until a stop criterion fires; params=None runs the bare base step."""
+    """Iterate until a stop criterion fires; params=None runs the bare base step.
+
+    The gradient, support mask and support size of each iterate are computed
+    once and carried into the next iteration.  Raises NonFiniteObjective,
+    naming the iteration, when Phi or d stops being finite.
+    """
     obj = step.prob
     x = np.asarray(x0, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
-    support = _support(obj, x)
-    g = obj.grad(x)
-    records: list[IterationRecord] = []
-    reason = StopReason.MAX_ITERS
-    for k in range(stop.max_iters):
-        x, record, support, g = _advance(x, support, g, step, params, k)
-        records.append(record)
-        if record.d_norm <= stop.d_tol:
-            reason = StopReason.D_TOL
-            break
-        if stop.residual_tol is not None and record.residual <= stop.residual_tol:
-            reason = StopReason.RESIDUAL_TOL
-            break
-        if norm(x) > stop.bound_guard:
-            reason = StopReason.UNBOUNDED_GUARD
-            break
-    return RunTrace(records=records, final_x=x, stop_reason=reason, final_phi=obj.value(x))
+    # An overflow surfaces as NonFiniteObjective below; numpy's warnings would repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = obj.grad(x)
+        mask = obj.support_mask(x)
+        size = None if mask is None else int(np.count_nonzero(mask))
+        records: list[IterationRecord] = []
+        reason = StopReason.MAX_ITERS
+        for k in range(stop.max_iters):
+            phi_x = obj.value(x)
+            y = step.apply_grad(x, g)
+            d = y - x
+            d_sq = float(d.dot(d))
+            d_norm = math.sqrt(d_sq)  # the bits of norm(d)
+            phi_y = obj.value(y)
+            if not (math.isfinite(phi_x) and math.isfinite(phi_y) and math.isfinite(d_norm)):
+                raise NonFiniteObjective(
+                    f"non-finite objective at iteration {k}: phi_x={phi_x}, phi_y={phi_y}")
+            if params is None:
+                m_k = eta_k = None
+                x = y
+            elif d_norm == 0.0:
+                # Armijo holds with equality at m = 0, whose trial is y itself, so a
+                # search would stop after one evaluation.  The branch stays because
+                # perfbench's `search_counts` counts no trial on a d_norm == 0 row:
+                # its objective-call gate fails if this row evaluates one.
+                m_k, eta_k = 0, 1.0
+            else:
+                m_k, eta_k = armijo_search(obj, y, d, params, phi_y=phi_y, d_sq=d_sq)
+                x = x + (eta_k + 1.0) * d
+            g = obj.grad(x)
+            mask_next = obj.support_mask(x)
+            if mask_next is None:
+                entered = left = None
+            else:
+                entered = int(np.count_nonzero(mask_next > mask))
+                size_next = int(np.count_nonzero(mask_next))
+                left = size + entered - size_next  # from size_next = size + entered - left
+                size = size_next
+            mask = mask_next
+            residual = obj.residual_from_grad(g, mask)
+            records.append(IterationRecord(k, phi_x, phi_y, d_norm, m_k, eta_k, residual, size, entered, left))
+            if d_norm <= stop.d_tol:
+                reason = StopReason.D_TOL
+                break
+            if stop.residual_tol is not None and residual <= stop.residual_tol:
+                reason = StopReason.RESIDUAL_TOL
+                break
+            if norm(x) > stop.bound_guard:
+                reason = StopReason.UNBOUNDED_GUARD
+                break
+        return RunTrace(records=records, final_x=x, stop_reason=reason, final_phi=obj.value(x))
 
 
 def run_plain(x0: np.ndarray, step: ProxGradientStep, stop: StopCriteria) -> RunTrace:

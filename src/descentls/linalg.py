@@ -83,11 +83,17 @@ def spectral_norm_sq(a: np.ndarray) -> float:
     m <= n and A.T A otherwise, which share their nonzero eigenvalues.
     The safety factor absorbs eigensolver rounding, so the strict step-size
     condition h > ||A||^2 holds against the true value.  Costs O(k^3) time
-    and k^2 memory for k = min(m, n).  A zero matrix yields 0.0.
+    and k^2 memory for k = min(m, n).  A zero matrix yields 0.0, and a
+    matrix whose Gram matrix or estimate overflows raises ValueError.
     """
     a = as_matrix(a)
-    gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
-    return SPECTRAL_SAFETY * float(np.linalg.eigvalsh(gram)[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+    if np.isfinite(gram).all():
+        value = SPECTRAL_SAFETY * float(np.linalg.eigvalsh(gram)[-1])
+        if math.isfinite(value):
+            return value
+    raise ValueError("||A||^2 overflows float64")
 
 
 _FMT = "%.17g"

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol
 
 import numpy as np
 
 from .linalg import as_matrix, as_vector, matvec, norm, spectral_norm_sq, transpose_matvec
 
 
-@runtime_checkable
 class Objective(Protocol):
     """Behavior contract shared by all objectives.
 

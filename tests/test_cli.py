@@ -128,8 +128,6 @@ def test_usage_errors(tmp_path, capsys, micro_files):
                                  ("--h-factor", "nan", "h_factor must be > 1"),
                                  ("--lambda", "0", "lam must be positive and finite"),
                                  ("--lambda", "nan", "lam must be positive and finite"),
-                                 ("--zero-tol", "nan", "zero_tol must be"),
-                                 ("--zero-tol", "inf", "zero_tol must be"),
                                  ("--noise", "nan", "noise_sigma must be nonnegative and finite"),
                                  ("--noise", "inf", "noise_sigma must be nonnegative and finite")]:
         capsys.readouterr()
@@ -146,6 +144,50 @@ def test_usage_errors(tmp_path, capsys, micro_files):
     assert main(["run", "--matrix", str(micro_files / "A.csv"), "--out", str(tmp_path)]) == 2
     assert main(["run", "--matrix", str(tmp_path / "missing.csv"),
                  "--rhs", str(micro_files / "b.csv"), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--matrix", "A.csv"],
+    ["gen", "--rhs", "b.csv"],
+    ["run", "--zero-tol", "0.3"],
+    ["run", "--zero-tol", "nan"],
+], ids=["gen-matrix", "gen-rhs", "run-zero-tol", "run-zero-tol-nan"])
+def test_flags_a_command_does_not_take_exit_2(tmp_path, capsys, argv):
+    # gen only generates, and no command loads an iterate for a support tolerance to apply to.
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "run-plain", "compare", "verify"])
+def test_non_finite_objective_is_a_usage_error(tmp_path, capsys, command):
+    # With b of 1e160, ||b - A x||^2 overflows at x0 = 0, so iteration 0 has no finite Phi.
+    save_matrix(np.random.default_rng(0).standard_normal((4, 8)), tmp_path / "A.csv")
+    save_vector(np.full(4, 1e160), tmp_path / "b.csv")
+    save_vector(np.ones(4), tmp_path / "b1.csv")
+    argv = [command, "--matrix", str(tmp_path / "A.csv"), "--rhs", str(tmp_path / "b.csv"),
+            "--out", str(tmp_path / "out")]
+    if command == "verify":
+        assert main(["run", "--matrix", str(tmp_path / "A.csv"), "--rhs", str(tmp_path / "b1.csv"),
+                     "--out", str(tmp_path / "finite")]) == 0
+        argv += ["--trace", str(tmp_path / "finite" / "trace.csv")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: non-finite objective at iteration 0: phi_x=inf, phi_y=inf\n"
+
+
+def test_overflowing_matrix_is_a_usage_error(tmp_path, capsys):
+    save_matrix(np.full((3, 4), 1e200), tmp_path / "A.csv")
+    save_vector(np.ones(3), tmp_path / "b.csv")
+    capsys.readouterr()
+    assert main(["run", "--matrix", str(tmp_path / "A.csv"), "--rhs", str(tmp_path / "b.csv"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: ||A||^2 overflows float64\n"
 
 
 def test_compare_micro(tmp_path, micro_files):

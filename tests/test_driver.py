@@ -1,6 +1,6 @@
 import copy
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from descentls.driver import (
     StopCriteria,
     StopReason,
     armijo_search,
-    iterate,
     iterations_to_tolerance,
     read_trace_records,
     run,
@@ -34,6 +33,13 @@ def scalar_quadratic():
 def micro_step():
     quad = SmoothQuadratic.from_data(np.eye(2), np.array([3.0, 0.5]))
     return IHTStep(prob=L0LeastSquares(quad=quad, lam=1.0), h=2.0)
+
+
+def one_iteration(x, step, params):
+    """The next iterate and the only record of a one-iteration run from x."""
+    trace = run(x, step, params, StopCriteria(max_iters=1, d_tol=0.0))
+    (record,) = trace.records
+    return trace.final_x, record
 
 
 def brute_force_armijo(obj, y, d, params):
@@ -122,7 +128,7 @@ def test_armijo_matches_brute_force(seed):
 
 def test_iterate_worked_instance():
     step = micro_step()
-    x_next, record = iterate(np.zeros(2), step, PARAMS)
+    x_next, record = one_iteration(np.zeros(2), step, PARAMS)
     np.testing.assert_array_equal(x_next, [3.0, 0.0])
     assert record.m_k == 0 and record.eta_k == 1.0
     assert record.phi_x == 4.625 and record.phi_y == 2.25
@@ -134,7 +140,7 @@ def test_iterate_worked_instance():
 
 def test_iterate_fixed_point():
     step = micro_step()
-    x_next, record = iterate(np.array([3.0, 0.0]), step, PARAMS)
+    x_next, record = one_iteration(np.array([3.0, 0.0]), step, PARAMS)
     np.testing.assert_array_equal(x_next, [3.0, 0.0])
     assert record.d_norm == 0.0
     assert record.m_k == 0 and record.eta_k == 1.0
@@ -149,7 +155,7 @@ def test_failed_search_advances_to_y():
     y = gd.apply(x)
     m, eta_k = armijo_search(quad, y, y - x, LineSearchParams(alpha=5.0, eta=0.5, cap=5))
     assert (m, eta_k) == (ARMIJO_FAILED, 0.0)
-    x_next, record = iterate(x, gd, LineSearchParams(alpha=5.0, eta=0.5, cap=5))
+    x_next, record = one_iteration(x, gd, LineSearchParams(alpha=5.0, eta=0.5, cap=5))
     np.testing.assert_array_equal(x_next, y)
     assert record.m_k == ARMIJO_FAILED and record.eta_k == 0.0
 
@@ -203,15 +209,16 @@ def test_phi_monotone_and_sandwich_on_seeded_run():
 
 @pytest.mark.parametrize("params", [PARAMS, None], ids=["search", "plain"])
 def test_run_matches_iterate_and_support_sets(params):
-    # run carries each iterate's support mask forward; iterate recomputes it.
+    # run carries each iterate's gradient and support mask forward; a run
+    # started at x_k computes them afresh, and its one row must be row k.
     a, b, _ = generate_instance(InstanceSpec(16, 32, 3, 0.01, seed=6))
     prob = L0LeastSquares(quad=SmoothQuadratic.from_data(a, b), lam=0.01)
     step = IHTStep.default(prob)
     trace = run(np.zeros(32), step, params, StopCriteria())
     x = np.zeros(32)
     for k, recorded in enumerate(trace.records):
-        x_next, record = iterate(x, step, params, k)
-        assert record == recorded
+        x_next, record = one_iteration(x, step, params)
+        assert record.k == 0 and replace(record, k=k) == recorded
         before, after = (set(np.flatnonzero(prob.support_mask(v)).tolist()) for v in (x, x_next))
         assert record.support_size == len(after)
         assert record.support_entered == len(after - before)

@@ -80,6 +80,16 @@ def test_spectral_norm_sq_examples():
         assert spectral_norm_sq(a) >= exact
 
 
+@pytest.mark.parametrize("shape, value", [((3, 4), 1e200), ((4, 3), 1e200), ((3, 4), 4e153)],
+                         ids=["gram-wide", "gram-tall", "eigenvalue"])
+def test_spectral_norm_sq_rejects_overflow(shape, value):
+    # 1e200 overflows the Gram matrix, where numpy warns in matmul (an error
+    # under this suite's filter); 4e153 gives a finite Gram matrix whose
+    # largest eigenvalue, 3 * 4 * 4e153^2, overflows.
+    with pytest.raises(ValueError, match=r"^\|\|A\|\|\^2 overflows float64$"):
+        spectral_norm_sq(np.full(shape, value))
+
+
 def test_spectral_norm_sq_zero_matrix():
     assert spectral_norm_sq(np.zeros((3, 2))) == 0.0
 

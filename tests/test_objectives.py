@@ -71,8 +71,11 @@ def test_residual_smooth_examples(identity_problem):
 
 
 def test_objective_protocol(identity_problem):
-    assert isinstance(identity_problem, Objective)
-    assert isinstance(identity_problem.quad, Objective)
+    methods = {name for name, v in vars(Objective).items() if callable(v) and not name.startswith("_")}
+    assert set(Objective.__annotations__) == {"is_smooth", "lipschitz"}
+    assert methods == {"value", "residual", "residual_from_grad", "grad", "prox", "nu", "support_mask"}
+    for obj in (identity_problem, identity_problem.quad):
+        assert all(hasattr(obj, name) for name in Objective.__annotations__.keys() | methods)
     assert identity_problem.quad.is_smooth
     assert not identity_problem.is_smooth
 
