@@ -12,7 +12,8 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import diagnostics
 from .driver import (
+    TRACE_COLUMNS,
     IterationRecord,
     LineSearchParams,
     NonFiniteObjective,
@@ -28,7 +30,6 @@ from .driver import (
     iterations_to_tolerance,
     read_trace_records,
     run,
-    validate_records,
     write_trace,
 )
 from .instances import InstanceSpec, generate_instance
@@ -138,14 +139,20 @@ def _verify_and_report(trace: RunTrace, problem: Problem, out_path: Path) -> boo
     return all(r.passed for r in reports)
 
 
-def _first_difference(recorded: list[IterationRecord], recomputed: list[IterationRecord]) -> str:
-    """Describe the first row where a recorded trace departs from its rerun."""
+def _first_difference(recorded: list[IterationRecord], recomputed: list[IterationRecord]) -> Optional[str]:
+    """Describe the first row where a recorded trace departs from its rerun by
+    a field's bits, or None.  (A NaN differs even from itself; a rerun records none.)"""
+    cells = attrgetter(*TRACE_COLUMNS)
     for got, want in zip(recorded, recomputed):
-        if got != want:
-            names = [f.name for f in fields(got) if getattr(got, f.name) != getattr(want, f.name)]
+        # -0.0 == 0.0, but their reprs differ.
+        names = [n for n, a, b in zip(TRACE_COLUMNS, cells(got), cells(want))
+                 if a != b or a == 0 and repr(a) != repr(b)]
+        if names:
             got_values, want_values = ({n: getattr(r, n) for n in names} for r in (got, want))
             return f"row k={want.k}: {got_values} recorded vs {want_values} recomputed"
-    return f"expected {len(recomputed)} rows, trace has {len(recorded)}"
+    if len(recorded) != len(recomputed):
+        return f"expected {len(recomputed)} rows, trace has {len(recorded)}"
+    return None
 
 
 def cmd_gen(args) -> int:
@@ -200,14 +207,9 @@ def cmd_verify(args) -> int:
     if not loaded:
         raise ValueError("trace is empty")
     plain = loaded[0].m_k is None and loaded[0].eta_k is None
-    try:
-        validate_records(loaded, problem.params)
-    except ValueError as exc:
-        print(f"FAIL record_invariants: {exc}")
-        return 1
     fresh = run(problem.x0, problem.step, None if plain else problem.params, problem.stop)
-    if loaded != fresh.records:
-        print(f"FAIL trace_integrity: {_first_difference(loaded, fresh.records)}")
+    if (difference := _first_difference(loaded, fresh.records)) is not None:
+        print(f"FAIL trace_integrity: {difference}")
         return 1
     print("PASS trace_integrity")
     args.out.mkdir(parents=True, exist_ok=True)

@@ -23,9 +23,10 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Optional
+from operator import attrgetter
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -35,9 +36,6 @@ from .steps import ProxGradientStep
 
 # Sentinel for a failed Armijo search (also its CSV encoding).
 ARMIJO_FAILED = -1
-
-TRACE_COLUMNS = ["k", "phi_x", "phi_y", "d_norm", "m_k", "eta_k", "residual", "support_size",
-                 "support_entered", "support_left"]
 
 
 class NonFiniteObjective(RuntimeError):
@@ -106,6 +104,13 @@ class IterationRecord:
     support_size: Optional[int]
     support_entered: Optional[int]
     support_left: Optional[int]
+
+
+# The trace CSV has one column per record field, in field order.
+TRACE_COLUMNS = [f.name for f in fields(IterationRecord)]
+# (name, int or float, whether an empty cell reads as None) of each column.
+_COLUMNS = [(name, (get_args(hint) or (hint,))[0], bool(get_args(hint)))
+            for name, hint in get_type_hints(IterationRecord).items()]
 
 
 @dataclass
@@ -231,10 +236,6 @@ def iterations_to_tolerance(trace: RunTrace, tol: float) -> Optional[int]:
     return None
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
 def write_trace(trace: RunTrace, path) -> None:
     """Write the per-iteration trace as CSV.
 
@@ -242,47 +243,38 @@ def write_trace(trace: RunTrace, path) -> None:
     m_k = -1 denotes a failed Armijo search; m_k/eta_k are empty on plain
     runs and the support columns are empty for smooth objectives.
     """
+    cells = attrgetter(*TRACE_COLUMNS)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for r in trace.records:
-            writer.writerow([
-                r.k,
-                _fmt(r.phi_x),
-                _fmt(r.phi_y),
-                _fmt(r.d_norm),
-                "" if r.m_k is None else r.m_k,
-                "" if r.eta_k is None else _fmt(r.eta_k),
-                _fmt(r.residual),
-                "" if r.support_size is None else r.support_size,
-                "" if r.support_entered is None else r.support_entered,
-                "" if r.support_left is None else r.support_left,
-            ])
+        # csv writes None as an empty cell and an int in decimal.
+        writer.writerows([format(v, ".17g") if type(v) is float else v for v in cells(r)]
+                         for r in trace.records)
 
 
 def read_trace_records(path) -> list[IterationRecord]:
-    """Read records written by `write_trace` (fields round-trip bit-exactly)."""
+    """Read records written by `write_trace` (fields round-trip bit-exactly).
+
+    A wrong header is a ValueError naming the path; a row of the wrong
+    length also names the row (counted from 0, like k), and a cell that
+    does not read as its column's type the row and the column."""
     records = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != TRACE_COLUMNS:
-            raise ValueError(f"unexpected trace header: {header}")
-        for row in reader:
+            raise ValueError(f"{path}: unexpected trace header: {header}")
+        for i, row in enumerate(reader):
             if len(row) != len(TRACE_COLUMNS):
-                raise ValueError(f"malformed trace row: {row}")
-            records.append(IterationRecord(
-                k=int(row[0]),
-                phi_x=float(row[1]),
-                phi_y=float(row[2]),
-                d_norm=float(row[3]),
-                m_k=None if row[4] == "" else int(row[4]),
-                eta_k=None if row[5] == "" else float(row[5]),
-                residual=float(row[6]),
-                support_size=None if row[7] == "" else int(row[7]),
-                support_entered=None if row[8] == "" else int(row[8]),
-                support_left=None if row[9] == "" else int(row[9]),
-            ))
+                raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {len(TRACE_COLUMNS)}")
+            values = []
+            for cell, (name, cell_type, optional) in zip(row, _COLUMNS):
+                try:
+                    values.append(None if optional and cell == "" else cell_type(cell))
+                except ValueError:
+                    raise ValueError(f"{path}: row {i}, column {name}: cannot read {cell!r} "
+                                     f"as {cell_type.__name__}") from None
+            records.append(IterationRecord(*values))
     return records
 
 
@@ -293,6 +285,9 @@ def validate_records(records: list[IterationRecord], params: LineSearchParams) -
     d_norm finite and nonnegative, support counts nonnegative, m_k in
     0..cap with eta_k = eta^m_k exactly (the search computes it so), and
     eta_k = 0 exactly when the search failed.
+
+    The CLI no longer calls it: its bit-exact rerun rejects every trace this
+    rejects.  It stays while perfbench's `watched_functions` names it.
     """
     for i, r in enumerate(records):
         if r.k != i:

@@ -245,7 +245,9 @@ INTEGRITY = "FAIL trace_integrity: row k="
     # residual on the last row: breaks the residual bound
     pytest.param(-1, {6: lambda v: v + 1.0}, INTEGRITY + "272", id="-1-6"),
     # eta_k becomes a value the search cannot produce
-    pytest.param(4, {5: lambda v: v + 1.0}, "FAIL record_invariants", id="4-5"),
+    pytest.param(4, {5: lambda v: v + 1.0}, INTEGRITY + "3", id="4-5"),
+    # the failed search's eta_k = 0 becomes -0: equal as a value, not as bits
+    pytest.param(3, {5: lambda v: -v}, INTEGRITY + "2", id="eta_k-negative-zero-k2"),
     # support_entered: the support check reads it
     pytest.param(6, {8: lambda v: v + 1.0}, INTEGRITY + "5", id="6-8"),
     # Edits that leave every record valid and every diagnostic passing; only
@@ -291,7 +293,45 @@ def test_verify_rejects_negative_d_norm(tmp_path, capsys):
         csv.writer(fh).writerows(rows)
     capsys.readouterr()
     assert main(["verify", "--seed", "9", "--trace", str(path), "--out", str(out)]) == 1
-    assert "FAIL record_invariants" in capsys.readouterr().out
+    assert "FAIL trace_integrity: row k=2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("edit,rows", [
+    (lambda lines: lines[:-1], 272),
+    (lambda lines: lines + lines[-1:], 274),
+], ids=["short", "long"])
+def test_verify_catches_a_trace_of_another_length(tmp_path, capsys, edit, rows):
+    # Every row the two traces share is equal; only the row count differs.
+    out = tmp_path / "len"
+    assert main(["run", "--seed", "9", "--out", str(out)]) == 0
+    path = out / "trace.csv"
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    capsys.readouterr()
+    assert main(["verify", "--seed", "9", "--trace", str(path), "--out", str(out)]) == 1
+    assert f"FAIL trace_integrity: expected 273 rows, trace has {rows}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("column,cell,message", [
+    ("phi_x", "abc", "row 2, column phi_x: cannot read 'abc' as float"),
+    ("support_size", "3.0", "row 2, column support_size: cannot read '3.0' as int"),
+    ("residual", "", "row 2, column residual: cannot read '' as float"),
+    ("support_left", None, "row 2 has 9 cells, expected 10"),
+], ids=["float", "int", "empty", "short-row"])
+def test_verify_names_an_unreadable_cell(tmp_path, capsys, column, cell, message):
+    out = tmp_path / "bad"
+    assert main(["run", "--seed", "9", "--out", str(out)]) == 0
+    path = out / "trace.csv"
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    if cell is None:
+        del rows[3][rows[0].index(column)]
+    else:
+        rows[3][rows[0].index(column)] = cell
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    assert main(["verify", "--seed", "9", "--trace", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_verify_plain_trace(tmp_path):

@@ -7,7 +7,9 @@ import pytest
 
 from descentls.driver import (
     ARMIJO_FAILED,
+    IterationRecord,
     LineSearchParams,
+    RunTrace,
     StopCriteria,
     StopReason,
     armijo_search,
@@ -265,6 +267,20 @@ def test_trace_csv_round_trip(tmp_path):
     write_trace(smooth, path)
     assert read_trace_records(path) == smooth.records
     assert {(r.support_size, r.support_entered, r.support_left) for r in smooth.records} == {(None,) * 3}
+
+
+def test_trace_csv_bytes(tmp_path):
+    # README documents the column order; a float has 17 significant digits, so
+    # 0.1 is not written as repr's "0.1", and the sign of zero survives.
+    records = [IterationRecord(0, 0.1, -0.0, 1e-300, ARMIJO_FAILED, 0.0, 2.5, 3, 1, 0),
+               IterationRecord(1, 1.0, 0.5, 0.0, None, None, 0.25, None, None, None)]
+    path = tmp_path / "trace.csv"
+    write_trace(RunTrace(records, np.zeros(1), StopReason.D_TOL, 0.0), path)
+    assert path.read_bytes() == (
+        b"k,phi_x,phi_y,d_norm,m_k,eta_k,residual,support_size,support_entered,support_left\r\n"
+        b"0,0.10000000000000001,-0,1e-300,-1,0,2.5,3,1,0\r\n"
+        b"1,1,0.5,0,,,0.25,,,\r\n")
+    assert repr(read_trace_records(path)) == repr(records)
 
 
 def test_validate_records():
