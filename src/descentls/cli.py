@@ -117,12 +117,13 @@ def _spec(args) -> InstanceSpec:
 def _build_problem(args) -> Problem:
     if (args.matrix is None) != (args.rhs is None):
         raise ValueError("--matrix and --rhs must be given together")
+    norm_sq = None
     if args.matrix is not None:
-        a = load_matrix(args.matrix)
+        a, norm_sq = load_matrix(args.matrix)
         b = load_vector(args.rhs)
     else:
         a, b, _ = generate_instance(_spec(args))
-    quad = SmoothQuadratic.from_data(a, b)
+    quad = SmoothQuadratic.from_data(a, b, lipschitz=norm_sq)
     prob = L0LeastSquares(quad=quad, lam=args.lam)
     step = ProxGradientStep.default(prob, h_factor=args.h_factor)
     params = LineSearchParams(alpha=args.alpha, eta=args.eta, cap=args.cap_m)

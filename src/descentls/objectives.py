@@ -83,12 +83,14 @@ class SmoothQuadratic:
     is_smooth: bool = field(default=True, init=False)
 
     @classmethod
-    def from_data(cls, A, b) -> "SmoothQuadratic":
+    def from_data(cls, A, b, lipschitz: Optional[float] = None) -> "SmoothQuadratic":
+        """Validate `A` and `b`; `lipschitz` is `spectral_norm_sq(A)`, computed
+        here unless the caller already holds it (as `load_matrix` returns it)."""
         A = as_matrix(A)
         b = as_vector(b)
         if A.shape[0] != b.shape[0]:
             raise ValueError(f"A has {A.shape[0]} rows but b has length {b.shape[0]}")
-        return cls(A=A, b=b, lipschitz=spectral_norm_sq(A))
+        return cls(A=A, b=b, lipschitz=spectral_norm_sq(A) if lipschitz is None else lipschitz)
 
     def value(self, x: np.ndarray) -> float:
         r = self.b - matvec(self.A, x)

@@ -3,10 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from conftest import write_v1_twin
 
+from descentls import linalg, objectives
 from descentls.cli import build_parser, main
 from descentls.driver import read_trace_records
-from descentls.linalg import load_matrix, load_vector, save_matrix, save_vector
+from descentls.linalg import load_matrix, load_vector, save_matrix, save_vector, spectral_norm_sq
 from descentls.objectives import SmoothQuadratic
 
 MICRO = ["--lambda", "1.0"]
@@ -30,7 +32,7 @@ def test_gen_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "g1", tmp_path / "g2"
     assert main(["gen", "--seed", "5", "--out", str(out1)]) == 0
     assert main(["gen", "--seed", "5", "--out", str(out2)]) == 0
-    assert np.array_equal(load_matrix(out1 / "A.csv"), load_matrix(out2 / "A.csv"))
+    assert np.array_equal(load_matrix(out1 / "A.csv")[0], load_matrix(out2 / "A.csv")[0])
     assert np.array_equal(load_vector(out1 / "b.csv"), load_vector(out2 / "b.csv"))
     assert np.count_nonzero(load_vector(out1 / "x_star.csv")) == 4
 
@@ -45,22 +47,53 @@ def test_main_parses_each_call_afresh(tmp_path, capsys):
     assert lines[1].endswith("A.csv (32x64), b.csv, x_star.csv (seed 42)")
 
 
+# Each state of gen's twin for the CLI tests: only "fresh" carries A and ||A||^2.
+CLI_TWIN_STATES = {
+    "fresh": lambda data: None,
+    "v1-twin": lambda data: write_v1_twin(data / "A.csv.f64"),
+    "twin-deleted": lambda data: (data / "A.csv.f64").unlink(),
+    "csv-edited": lambda data: (data / "A.csv").write_text((data / "A.csv").read_text() + "# edited\n"),
+}
+
+
 def test_outputs_do_not_depend_on_the_twin(tmp_path, capsys):
-    # gen writes A.csv.f64 next to A.csv; deleting it only makes run parse the CSV.
-    data = tmp_path / "data"
-    assert main(["gen", "--seed", "3", "--out", str(data)]) == 0
-    assert (data / "A.csv.f64").is_file()
-    argv = ["--matrix", str(data / "A.csv"), "--rhs", str(data / "b.csv"), "--out", str(tmp_path / "out")]
+    # gen writes A.csv.f64 next to A.csv; a v1 twin or none only makes the
+    # commands parse the CSV and compute ||A||^2, to the same bits.
     outputs = []
-    for _ in range(2):
+    for state in ("fresh", "v1-twin", "twin-deleted"):
+        data, out = tmp_path / state, tmp_path / state / "out"
+        assert main(["gen", "--seed", "3", "--out", str(data)]) == 0
+        CLI_TWIN_STATES[state](data)
+        files = ["--matrix", str(data / "A.csv"), "--rhs", str(data / "b.csv")]
         capsys.readouterr()
-        assert main(["compare", *argv]) == 0
-        assert main(["run", *argv]) == 0
-        outputs.append([capsys.readouterr().out] + [(tmp_path / "out" / name).read_bytes() for name in
-                                                     ("compare.json", "search_trace.csv", "trace.csv",
-                                                      "verify.json")])
-        (data / "A.csv.f64").unlink(missing_ok=True)
-    assert outputs[0] == outputs[1]
+        assert main(["compare", *files, "--out", str(out)]) == 0
+        assert main(["run", *files, "--out", str(out)]) == 0
+        assert main(["verify", *files, "--trace", str(out / "trace.csv"), "--out", str(out / "verify")]) == 0
+        outputs.append([capsys.readouterr().out.replace(str(data), "DATA")]
+                       + [(out / name).read_bytes() for name in ("compare.json", "plain_trace.csv",
+                                                                 "search_trace.csv", "trace.csv", "verify.json",
+                                                                 "verify/verify.json")])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("state", CLI_TWIN_STATES)
+def test_a_fresh_twin_spares_the_eigensolve(tmp_path, monkeypatch, state):
+    assert main(["gen", "--seed", "3", "--out", str(tmp_path)]) == 0
+    CLI_TWIN_STATES[state](tmp_path)
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return spectral_norm_sq(a)
+
+    monkeypatch.setattr(objectives, "spectral_norm_sq", counting)
+    monkeypatch.setattr(linalg, "spectral_norm_sq", counting)
+    argv = ["--matrix", str(tmp_path / "A.csv"), "--rhs", str(tmp_path / "b.csv"), "--out", str(tmp_path / "out")]
+    for command in (["run", *argv], ["verify", *argv, "--trace", str(tmp_path / "out" / "trace.csv")],
+                    ["compare", *argv]):
+        calls.clear()
+        assert main(command) == 0
+        assert calls == ([] if state == "fresh" else [(32, 64)])
 
 
 @pytest.mark.filterwarnings("error")
@@ -179,6 +212,23 @@ def test_non_finite_objective_is_a_usage_error(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: non-finite objective at iteration 0: phi_x=inf, phi_y=inf\n"
+
+
+@pytest.mark.parametrize("state", ["fresh", "twin-deleted"])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_matrix_whose_norm_overflows_saves_and_is_a_usage_error(tmp_path, capsys, command, state):
+    # Entries up to 1e300: save_matrix writes the twin with NaN for ||A||^2,
+    # and every reader computes the norm again, which overflows.
+    a = np.random.default_rng(2).standard_normal((3, 4)) * 10.0 ** np.arange(-300, 300, 50).reshape(3, 4)
+    save_matrix(a, tmp_path / "A.csv")
+    save_vector(np.ones(3), tmp_path / "b.csv")
+    loaded, norm_sq = load_matrix(tmp_path / "A.csv")
+    assert np.array_equal(loaded, a) and norm_sq is None
+    CLI_TWIN_STATES[state](tmp_path)
+    capsys.readouterr()
+    assert main([command, "--matrix", str(tmp_path / "A.csv"), "--rhs", str(tmp_path / "b.csv"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", "error: ||A||^2 overflows float64\n")
 
 
 def test_overflowing_matrix_is_a_usage_error(tmp_path, capsys):

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import write_v1_twin
 
 from descentls import linalg
 from descentls.linalg import (
@@ -179,7 +180,8 @@ def test_csv_round_trip(tmp_path):
     v = rng.standard_normal(7)
     save_matrix(a, tmp_path / "a.csv")
     save_vector(v, tmp_path / "v.csv")
-    assert np.array_equal(load_matrix(tmp_path / "a.csv"), a)
+    got, norm_sq = load_matrix(tmp_path / "a.csv")
+    assert np.array_equal(got, a) and norm_sq == spectral_norm_sq(a)
     assert np.array_equal(load_vector(tmp_path / "v.csv"), v)
 
 
@@ -224,15 +226,20 @@ def _edit_first_value(path, text):
 def _patch_header(path, **fields):
     data = path.read_bytes()
     header = linalg._TWIN_HEADER
-    values = dict(zip(("tag", "rows", "cols", "csv_sha", "payload_sha"), header.unpack(data[:header.size])))
+    values = dict(zip(("tag", "rows", "cols", "norm_sq", "csv_sha", "payload_sha"),
+                      header.unpack(data[:header.size])))
     values.update(fields)
     path.write_bytes(header.pack(*values.values()) + data[header.size:])
 
 
-def _flip_last_byte(path):
+def _flip_byte(path, offset):
     data = bytearray(path.read_bytes())
-    data[-1] ^= 1
+    data[offset] ^= 1
     path.write_bytes(bytes(data))
+
+
+# Byte offset of the carried norm in the twin's header.
+NORM_OFFSET = 24
 
 
 # Each state of the twin, set up after save_matrix; only "fresh" may use it.
@@ -242,8 +249,11 @@ TWIN_STATES = {
     "csv-edited-same-length": lambda csv, twin: _edit_first_value(csv, b"-1"),
     "csv-edited-other-length": lambda csv, twin: _edit_first_value(csv, b"-0.5"),
     "twin-truncated": lambda csv, twin: twin.write_bytes(twin.read_bytes()[:-1]),
-    "payload-byte-flipped": lambda csv, twin: _flip_last_byte(twin),
+    "payload-byte-flipped": lambda csv, twin: _flip_byte(twin, -1),
+    "norm-byte-flipped": lambda csv, twin: _flip_byte(twin, NORM_OFFSET),
     "wrong-tag": lambda csv, twin: _patch_header(twin, tag=b"DLSF64v0"),
+    # A twin as it was written before it carried the norm.
+    "v1-twin": lambda csv, twin: write_v1_twin(twin),
     "larger-shape": lambda csv, twin: _patch_header(twin, rows=5),
     "huge-shape": lambda csv, twin: _patch_header(twin, rows=2**40, cols=2**20),
     "header-only": lambda csv, twin: twin.write_bytes(twin.read_bytes()[:linalg._TWIN_HEADER.size]),
@@ -264,6 +274,9 @@ def test_load_matrix_returns_the_bits_of_loadtxt(tmp_path, monkeypatch, state):
     save_matrix(a, csv)
     twin = tmp_path / "A.csv.f64"
     assert twin_path(csv) == str(twin) and twin.is_file()
+    # Entries up to 1e308 overflow ||A||^2: the twin carries NaN in its place.
+    header = twin.read_bytes()[:linalg._TWIN_HEADER.size]
+    assert header[:8] == b"DLSF64v2" and np.isnan(np.frombuffer(header[NORM_OFFSET:NORM_OFFSET + 8], "<f8")[0])
     TWIN_STATES[state](csv, twin)
     want = parsed(csv)
     calls = []
@@ -282,11 +295,28 @@ def test_load_matrix_returns_the_bits_of_loadtxt(tmp_path, monkeypatch, state):
 
     monkeypatch.setattr(np, "loadtxt", loadtxt)
     monkeypatch.setattr(linalg, "aligned_empty", allocate)
-    got = load_matrix(csv)
-    assert same_bits(got, want)
+    got, norm_sq = load_matrix(csv)
+    assert same_bits(got, want) and norm_sq is None
     assert len(calls) == (state != "fresh")
+    assert got.ctypes.data % 64 == 0 and got.flags.writeable
     if state == "fresh":
-        assert same_bits(got, a) and got.ctypes.data % 64 == 0 and got.flags.writeable
+        assert same_bits(got, a)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (5, 3), (32, 64), (65, 33)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_twin_carries_the_norm_a_parse_would_compute(tmp_path, monkeypatch, shape, order):
+    # The carried value is spectral_norm_sq of the matrix load_matrix returns,
+    # bit for bit, also when save_matrix was given a Fortran-ordered copy.
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    a = np.asarray(rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 100), order=order)
+    csv = tmp_path / "A.csv"
+    save_matrix(a, csv)
+    want = spectral_norm_sq(parsed(csv))
+    monkeypatch.setattr(linalg, "spectral_norm_sq", None)  # load_matrix computes no norm
+    got, norm_sq = load_matrix(csv)
+    assert same_bits(got, parsed(csv))
+    assert type(norm_sq) is float and repr(norm_sq) == repr(want)
 
 
 def test_load_matrix_needs_the_csv_even_with_a_valid_twin(tmp_path):
