@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 from operator import attrgetter
@@ -30,7 +29,7 @@ from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .linalg import norm
+from .linalg import norm, require_integer
 from .objectives import Objective
 from .steps import ProxGradientStep
 
@@ -40,12 +39,6 @@ ARMIJO_FAILED = -1
 
 class NonFiniteObjective(RuntimeError):
     """The objective evaluated to NaN/Inf during a run."""
-
-
-def _require_integer(name: str, value) -> None:
-    """Reject a count that `range` cannot take: a float, or a bool posing as an int."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +52,7 @@ class LineSearchParams:
             raise ValueError("alpha must be positive and finite")
         if not 0 < self.eta < 1:
             raise ValueError("eta must lie in (0, 1)")
-        _require_integer("cap", self.cap)
+        require_integer("cap", self.cap)
         if self.cap < 0:
             raise ValueError("cap must be nonnegative")
 
@@ -72,7 +65,7 @@ class StopCriteria:
     bound_guard: float = 1e12
 
     def __post_init__(self):
-        _require_integer("max_iters", self.max_iters)
+        require_integer("max_iters", self.max_iters)
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not (self.d_tol >= 0 and math.isfinite(self.d_tol)):

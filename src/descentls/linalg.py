@@ -1,18 +1,19 @@
 """Dense linear-algebra kernels shared by the solvers.
 
 Vectors and matrices are plain float64 numpy arrays; the helpers here
-validate shapes/finiteness and provide the handful of operations the
-solvers need, including the exact ||A||^2 that sets step sizes, and the
-CSV files of matrices and vectors.  `save_matrix` writes next to a matrix
-CSV a binary twin that carries the matrix and its ||A||^2, so that
-`load_matrix` skips both the parse and the eigensolve while the CSV is
-unchanged.
+validate shapes, finiteness and integer counts, and provide the handful
+of operations the solvers need, including the exact ||A||^2 that sets
+step sizes, and the CSV files of matrices and vectors.  `save_matrix`
+writes next to a matrix CSV a binary twin that carries the matrix and its
+||A||^2, so that `load_matrix` skips both the parse and the eigensolve
+while the CSV is unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import os
 import struct
 import warnings
@@ -27,6 +28,12 @@ SPECTRAL_SAFETY = 1.001
 
 class DimensionMismatch(ValueError):
     """Operand shapes are incompatible."""
+
+
+def require_integer(name: str, value) -> None:
+    """Reject a count that `range` cannot take: a float, or a bool posing as an int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def as_vector(values) -> np.ndarray:
@@ -116,7 +123,7 @@ _TWIN_DTYPE = np.dtype("<f8")
 _NORM = struct.Struct("<d")
 
 
-def aligned_empty(shape: tuple[int, int]) -> np.ndarray:
+def aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
     """Return an uninitialized C-order float64 array on a 64-byte boundary.
 
     numpy guarantees only 16 bytes: on a 2-core Xeon, a 256x512 plain
@@ -124,7 +131,7 @@ def aligned_empty(shape: tuple[int, int]) -> np.ndarray:
     at 0, so without this the solve time of an instance would depend on
     the heap history of the process.
     """
-    nbytes = 8 * shape[0] * shape[1]
+    nbytes = 8 * math.prod(shape)
     buf = np.empty(nbytes + 64, dtype=np.uint8)
     start = -buf.ctypes.data % 64
     return buf[start:start + nbytes].view(np.float64).reshape(shape)

@@ -173,6 +173,9 @@ def test_usage_errors(tmp_path, capsys, micro_files):
     capsys.readouterr()
     assert main(["gen", "--seed", "1", "--noise", "nan", "--out", str(out)]) == 2
     assert "error: noise_sigma must be nonnegative and finite" in capsys.readouterr().err
+    for command in ("gen", "run"):
+        assert main([command, "--seed", "-1", "--out", str(out)]) == 2
+        assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
     assert not out.exists()
     assert main(["run", "--matrix", str(micro_files / "A.csv"), "--out", str(tmp_path)]) == 2
     assert main(["run", "--matrix", str(tmp_path / "missing.csv"),
