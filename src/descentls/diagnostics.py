@@ -201,8 +201,8 @@ def run_diagnostics(
     reports = [check_sufficient_decrease(trace, consts.nu, params.alpha)]
     k_stab: Optional[int] = None
     k_start = 0
-    if not step.prob.is_smooth:
-        # The non-smooth objective is the l0 one, where the step has a hard-threshold level.
+    if step.prob.support_mask(trace.final_x) is not None:
+        # An objective with a support is the l0 one, where the step has a hard-threshold level.
         k_stab, support_report = check_support(trace, step.threshold)
         reports.append(support_report)
         k_start = k_stab if k_stab is not None else len(trace.records)

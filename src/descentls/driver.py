@@ -61,7 +61,6 @@ class LineSearchParams:
 class StopCriteria:
     max_iters: int = 10_000
     d_tol: float = 1e-10
-    residual_tol: Optional[float] = None
     bound_guard: float = 1e12
 
     def __post_init__(self):
@@ -70,15 +69,12 @@ class StopCriteria:
             raise ValueError("max_iters must be at least 1")
         if not (self.d_tol >= 0 and math.isfinite(self.d_tol)):
             raise ValueError("d_tol must be nonnegative and finite")
-        if self.residual_tol is not None and not (self.residual_tol >= 0 and math.isfinite(self.residual_tol)):
-            raise ValueError("residual_tol must be nonnegative and finite")
         if not self.bound_guard > 0:
             raise ValueError("bound_guard must be positive")
 
 
 class StopReason(Enum):
     D_TOL = "d_tol"
-    RESIDUAL_TOL = "residual_tol"
     MAX_ITERS = "max_iters"
     UNBOUNDED_GUARD = "unbounded_guard"
 
@@ -206,9 +202,6 @@ def run(
             records.append(IterationRecord(k, phi_x, phi_y, d_norm, m_k, eta_k, residual, size, entered, left))
             if d_norm <= stop.d_tol:
                 reason = StopReason.D_TOL
-                break
-            if stop.residual_tol is not None and residual <= stop.residual_tol:
-                reason = StopReason.RESIDUAL_TOL
                 break
             if norm(x) > stop.bound_guard:
                 reason = StopReason.UNBOUNDED_GUARD

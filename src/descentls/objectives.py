@@ -10,13 +10,14 @@ quantity from a gradient and support mask the caller already holds.
 `grad` (of f) and `prox` (of g) are what a proximal-gradient step needs;
 `lipschitz` is the gradient-Lipschitz constant of f, and `nu(h)` is the
 sufficient-decrease constant of that step with parameter h, positive
-exactly for the admissible h.
+exactly for the admissible h.  `support_mask(x)` is the support of x, or
+None for the smooth objective, which has no support.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Protocol
 
 import numpy as np
@@ -32,9 +33,11 @@ class Objective(Protocol):
     `prox`, `nu` and `support_mask` make none.  A solver iteration
     therefore costs 3 products with A and 1 with A.T without the search,
     and 3 + trials with A and 1 with A.T with it (see `driver`).
+
+    An objective has a support exactly when `support_mask` returns a mask,
+    not None; the solve loop and the diagnostics both ask it.
     """
 
-    is_smooth: bool
     lipschitz: float
 
     def value(self, x: np.ndarray) -> float: ...
@@ -80,7 +83,6 @@ class SmoothQuadratic:
     A: np.ndarray
     b: np.ndarray
     lipschitz: float
-    is_smooth: bool = field(default=True, init=False)
 
     @classmethod
     def from_data(cls, A, b, lipschitz: Optional[float] = None) -> "SmoothQuadratic":
@@ -124,7 +126,6 @@ class L0LeastSquares:
     quad: SmoothQuadratic
     lam: float
     zero_tol: float = 0.0
-    is_smooth: bool = field(default=False, init=False)
 
     def __post_init__(self):
         if not (self.lam > 0 and np.isfinite(self.lam)):

@@ -135,11 +135,11 @@ def test_run_plain_writes_plain_trace(tmp_path):
 
 
 @pytest.mark.parametrize("flags, stop, note", [
-    (["--residual-tol", "1e-3"], "residual_tol", "inconclusive: stopped by residual_tol"),
+    (["--max-iters", "60"], "max_iters", "inconclusive: stopped by max_iters"),
     (["--d-tol", "0"], "d_tol", None),
-], ids=["residual-tol", "d-tol-0"])
+], ids=["max-iters-60", "d-tol-0"])
 def test_run_passes_cauchy_tail_on_correct_runs(tmp_path, capsys, flags, stop, note):
-    # A residual_tol stop is inconclusive for cauchy_tail; a d_tol = 0 stop
+    # A max_iters stop is inconclusive for cauchy_tail; a d_tol = 0 stop
     # leaves only a rounding-level residual, inside the check's slack.
     out = tmp_path / "run"
     assert main(["run", "--seed", "42", *flags, "--out", str(out)]) == 0
@@ -156,7 +156,6 @@ def test_usage_errors(tmp_path, capsys, micro_files):
     out = tmp_path / "nonfinite"
     for flag, value, message in [("--alpha", "inf", "alpha must be"), ("--d-tol", "nan", "d_tol must be"),
                                  ("--d-tol", "inf", "d_tol must be"),
-                                 ("--residual-tol", "nan", "residual_tol must be"),
                                  ("--h-factor", "inf", "h = inf must be finite"),
                                  ("--h-factor", "nan", "h_factor must be > 1"),
                                  ("--lambda", "0", "lam must be positive and finite"),
@@ -187,9 +186,11 @@ def test_usage_errors(tmp_path, capsys, micro_files):
     ["gen", "--rhs", "b.csv"],
     ["run", "--zero-tol", "0.3"],
     ["run", "--zero-tol", "nan"],
-], ids=["gen-matrix", "gen-rhs", "run-zero-tol", "run-zero-tol-nan"])
+    ["run", "--residual-tol", "1e-3"],
+], ids=["gen-matrix", "gen-rhs", "run-zero-tol", "run-zero-tol-nan", "run-residual-tol"])
 def test_flags_a_command_does_not_take_exit_2(tmp_path, capsys, argv):
-    # gen only generates, and no command loads an iterate for a support tolerance to apply to.
+    # gen only generates, no command loads an iterate for a support tolerance
+    # to apply to, and the only tolerance stop is --d-tol.
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(out)])

@@ -249,12 +249,10 @@ def test_check_cauchy_converged(micro):
 def test_check_cauchy_inconclusive(micro):
     # The threshold derives from d_tol; any other stop says nothing about it.
     step, _ = micro
-    for stop, reason in ((StopCriteria(max_iters=3, d_tol=0.0), StopReason.MAX_ITERS),
-                         (StopCriteria(residual_tol=1e-3), StopReason.RESIDUAL_TOL)):
-        trace = run_plain(np.zeros(2), step, stop)
-        assert trace.stop_reason is reason and trace.records[-1].residual > 1e-6
-        report = check_cauchy(trace, residual_threshold=1e-6)
-        assert report.passed and report.note == f"inconclusive: stopped by {reason.value}"
+    trace = run_plain(np.zeros(2), step, StopCriteria(max_iters=3, d_tol=0.0))
+    assert trace.stop_reason is StopReason.MAX_ITERS and trace.records[-1].residual > 1e-6
+    report = check_cauchy(trace, residual_threshold=1e-6)
+    assert report.passed and report.note == "inconclusive: stopped by max_iters"
 
 
 def test_check_cauchy_flags_large_final_residual(micro):
@@ -322,15 +320,42 @@ def test_run_diagnostics_all_pass(seeded):
     assert k_stab is not None
     names = {r.name for r in reports}
     assert names == {"sufficient_decrease", "support_stabilization", "residual_bound", "cauchy_tail"}
-    # A residual_tol stop, and a d_tol = 0 stop that leaves a rounding-level
-    # residual, are correct runs too, with and without the search.
-    for stop, reason in ((StopCriteria(residual_tol=1e-3), StopReason.RESIDUAL_TOL),
+    # A max_iters stop after the support has settled, and a d_tol = 0 stop
+    # that leaves a rounding-level residual, are correct runs too, with and
+    # without the search.
+    for stop, reason in ((StopCriteria(max_iters=40), StopReason.MAX_ITERS),
                          (StopCriteria(d_tol=0.0), StopReason.D_TOL)):
         for params in (PARAMS, None):
             other = run(np.zeros(32), step, params, stop)
             assert other.stop_reason is reason and other.records[-1].residual > 0.0
             reports, _, _ = run_diagnostics(other, step, PARAMS, stop)
             assert all(r.passed for r in reports), (stop, params)
+
+
+@pytest.mark.parametrize("params", [PARAMS, None])
+def test_run_diagnostics_on_a_smooth_objective(seeded, params):
+    # A SmoothQuadratic has no support (its support_mask is None), so
+    # run_diagnostics makes no support check and residual_bound starts at
+    # row 0.  The l0 objective on the same data gets the support check.
+    l0_step, _ = seeded
+    step = ProxGradientStep.default(l0_step.prob.quad)
+    trace = run(np.zeros(32), step, params, STOP)
+    assert trace.stop_reason is StopReason.D_TOL
+    reports, consts, k_stab = run_diagnostics(trace, step, PARAMS, STOP)
+    assert [r.name for r in reports] == ["sufficient_decrease", "residual_bound", "cauchy_tail"]
+    assert all(r.passed for r in reports) and k_stab is None
+    first = trace.records[0]
+    bound = (consts.beta + consts.lipschitz * extrapolation(first)) * first.d_norm + TOL
+    corrupted = copy.deepcopy(trace)
+    corrupted.records[0].residual = 2.0 * bound
+    report = next(r for r in run_diagnostics(corrupted, step, PARAMS, STOP)[0] if r.name == "residual_bound")
+    assert not report.passed and report.at_iteration == 0
+
+    l0_trace = run(np.zeros(32), l0_step, params, STOP)
+    reports, _, k_stab = run_diagnostics(l0_trace, l0_step, PARAMS, STOP)
+    assert [r.name for r in reports] == ["sufficient_decrease", "support_stabilization",
+                                         "residual_bound", "cauchy_tail"]
+    assert all(r.passed for r in reports) and k_stab > 0
 
 
 def test_single_field_corruptions_are_caught(seeded):

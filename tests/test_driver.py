@@ -69,8 +69,6 @@ def test_params_validation():
             LineSearchParams(alpha=bad)
         with pytest.raises(ValueError, match="d_tol"):
             StopCriteria(d_tol=bad)
-        with pytest.raises(ValueError, match="residual_tol"):
-            StopCriteria(residual_tol=bad)
     # A count must be an integer: range() in the solve would raise a TypeError.
     for bad in (2.5, 20.0, True, False, "3"):
         with pytest.raises(ValueError, match="cap"):
