@@ -58,7 +58,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap-m", type=int, default=LineSearchParams.cap)
     p.add_argument("--max-iters", type=int, default=StopCriteria.max_iters)
     p.add_argument("--d-tol", type=float, default=StopCriteria.d_tol)
-    p.add_argument("--bound-guard", type=float, default=StopCriteria.bound_guard)
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
 
@@ -126,7 +125,7 @@ def _build_problem(args) -> Problem:
     prob = L0LeastSquares(quad=quad, lam=args.lam)
     step = ProxGradientStep.default(prob, h_factor=args.h_factor)
     params = LineSearchParams(alpha=args.alpha, eta=args.eta, cap=args.cap_m)
-    stop = StopCriteria(max_iters=args.max_iters, d_tol=args.d_tol, bound_guard=args.bound_guard)
+    stop = StopCriteria(max_iters=args.max_iters, d_tol=args.d_tol)
     return Problem(step=step, params=params, stop=stop, x0=np.zeros(a.shape[1]))
 
 

@@ -29,7 +29,7 @@ from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
-from .linalg import norm, require_integer
+from .linalg import require_integer
 from .objectives import Objective
 from .steps import ProxGradientStep
 
@@ -61,7 +61,6 @@ class LineSearchParams:
 class StopCriteria:
     max_iters: int = 10_000
     d_tol: float = 1e-10
-    bound_guard: float = 1e12
 
     def __post_init__(self):
         require_integer("max_iters", self.max_iters)
@@ -69,14 +68,11 @@ class StopCriteria:
             raise ValueError("max_iters must be at least 1")
         if not (self.d_tol >= 0 and math.isfinite(self.d_tol)):
             raise ValueError("d_tol must be nonnegative and finite")
-        if not self.bound_guard > 0:
-            raise ValueError("bound_guard must be positive")
 
 
 class StopReason(Enum):
     D_TOL = "d_tol"
     MAX_ITERS = "max_iters"
-    UNBOUNDED_GUARD = "unbounded_guard"
 
 
 @dataclass(slots=True)
@@ -202,9 +198,6 @@ def run(
             records.append(IterationRecord(k, phi_x, phi_y, d_norm, m_k, eta_k, residual, size, entered, left))
             if d_norm <= stop.d_tol:
                 reason = StopReason.D_TOL
-                break
-            if norm(x) > stop.bound_guard:
-                reason = StopReason.UNBOUNDED_GUARD
                 break
         return RunTrace(records=records, final_x=x, stop_reason=reason, final_phi=obj.value(x))
 

@@ -6,8 +6,9 @@ import pytest
 from conftest import write_v1_twin
 
 from descentls import linalg, objectives
-from descentls.cli import build_parser, main
+from descentls.cli import DEFAULT_SPEC, build_parser, main
 from descentls.driver import read_trace_records
+from descentls.instances import generate_instance
 from descentls.linalg import load_matrix, load_vector, save_matrix, save_vector, spectral_norm_sq
 from descentls.objectives import SmoothQuadratic
 
@@ -134,6 +135,32 @@ def test_run_plain_writes_plain_trace(tmp_path):
     assert records[0].m_k is None and records[0].eta_k is None
 
 
+def test_run_and_verify_a_rescaled_instance(tmp_path, capsys):
+    # A * 2^-43 scales the minimizer by 2^43, so --d-tol scales with it
+    # (879.6093022208 = 1e-10 * 2^43).  ||x|| ends near 1.8e13: the run must end
+    # on d_tol, not on any bound on ||x||, and pass every check.  --alpha has
+    # the units of h, so with 0.1 * 2^-86 the run is the one of --seed 42.
+    a, b, _ = generate_instance(DEFAULT_SPEC)
+    save_matrix(a * 2.0 ** -43, tmp_path / "A.csv")
+    save_vector(b, tmp_path / "b.csv")
+    data = ["--matrix", str(tmp_path / "A.csv"), "--rhs", str(tmp_path / "b.csv"),
+            "--d-tol", "879.6093022208"]
+    run_out = tmp_path / "run"
+    assert main(["run", *data, "--out", str(run_out)]) == 0
+    assert "stop=d_tol iterations=211 " in capsys.readouterr().out
+    assert main(["verify", *data, "--trace", str(run_out / "trace.csv"), "--out", str(tmp_path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+    def summary_line():
+        (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("stop=")]
+        return line.split(" trace=")[0]
+
+    assert main(["run", "--seed", "42", "--out", str(tmp_path / "unscaled")]) == 0
+    unscaled = summary_line()
+    assert main(["run", *data, "--alpha", repr(0.1 * 2.0 ** -86), "--out", str(tmp_path / "alpha")]) == 0
+    assert summary_line() == unscaled == "stop=d_tol iterations=150 final_phi=0.0418484168446"
+
+
 @pytest.mark.parametrize("flags, stop, note", [
     (["--max-iters", "60"], "max_iters", "inconclusive: stopped by max_iters"),
     (["--d-tol", "0"], "d_tol", None),
@@ -187,10 +214,13 @@ def test_usage_errors(tmp_path, capsys, micro_files):
     ["run", "--zero-tol", "0.3"],
     ["run", "--zero-tol", "nan"],
     ["run", "--residual-tol", "1e-3"],
-], ids=["gen-matrix", "gen-rhs", "run-zero-tol", "run-zero-tol-nan", "run-residual-tol"])
+    ["run", "--bound-guard", "1e12"],
+], ids=["gen-matrix", "gen-rhs", "run-zero-tol", "run-zero-tol-nan", "run-residual-tol",
+        "run-bound-guard"])
 def test_flags_a_command_does_not_take_exit_2(tmp_path, capsys, argv):
     # gen only generates, no command loads an iterate for a support tolerance
-    # to apply to, and the only tolerance stop is --d-tol.
+    # to apply to, the only tolerance stop is --d-tol, and no bound on ||x||
+    # stops a run: it ends on --d-tol or --max-iters.
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(out)])

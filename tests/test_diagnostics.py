@@ -1,5 +1,5 @@
 import copy
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -391,3 +391,36 @@ def test_plain_trace_uses_nu_only(micro):
     assert report.passed
     assert report.constant_used == c.nu == step.prob.nu(step.h)
     assert check_residual_bound(trace, c.beta, c.lipschitz).constant_used == c.beta
+
+
+def _solve(a, b, params, stop, variant):
+    step = ProxGradientStep.default(L0LeastSquares(quad=SmoothQuadratic.from_data(a, b), lam=0.01))
+    return step, run(np.zeros(a.shape[1]), step, params if variant == "search" else None, stop)
+
+
+@pytest.mark.parametrize("variant", ["search", "plain"])
+@pytest.mark.parametrize("seed", [1, 9, 42])
+def test_rescaled_instance_gives_the_rescaled_run(seed, variant):
+    # With A * 2^-e the minimizers scale by 2^e: x, d_norm and d_tol carry the
+    # units of x, the residual those of A.T (A x - b), and alpha those of h,
+    # that is of ||A||^2.  Scaling by a power of two is exact, so the run is
+    # the unscaled one with the same objective values and support, ends on
+    # d_tol, and passes every check, however large ||x|| gets.
+    a, b, _ = generate_instance(InstanceSpec(32, 64, 4, 0.01, seed))
+    _, ref = _solve(a, b, PARAMS, STOP, variant)
+    assert ref.stop_reason is StopReason.D_TOL
+    for e in (43, -20):
+        s = 2.0 ** e
+        params = LineSearchParams(alpha=PARAMS.alpha / s ** 2, eta=PARAMS.eta, cap=PARAMS.cap)
+        stop = StopCriteria(max_iters=STOP.max_iters, d_tol=STOP.d_tol * s)
+        step, trace = _solve(a / s, b, params, stop, variant)
+        assert trace.stop_reason is StopReason.D_TOL
+        assert trace.final_phi == ref.final_phi
+        assert np.array_equal(trace.final_x, ref.final_x * s)
+        assert len(trace.records) == len(ref.records)
+        for r, r_ref in zip(trace.records, ref.records):
+            assert r.d_norm == r_ref.d_norm * s
+            assert r.residual == r_ref.residual / s
+            assert replace(r, d_norm=r_ref.d_norm, residual=r_ref.residual) == r_ref
+        reports, _, _ = run_diagnostics(trace, step, params, stop)
+        assert [r.name for r in reports if not r.passed] == []

@@ -9,6 +9,7 @@ from descentls.driver import (
     ARMIJO_FAILED,
     IterationRecord,
     LineSearchParams,
+    NonFiniteObjective,
     RunTrace,
     StopCriteria,
     StopReason,
@@ -234,8 +235,9 @@ def test_max_iters_stop():
     assert trace.stop_reason is StopReason.MAX_ITERS
 
 
-def test_unbounded_guard():
-    # Maximizing direction: gradient ascent diverges and trips the guard.
+def test_diverging_step_raises_non_finite_objective():
+    # Maximizing direction: x_k = 2^(k+1) - 1 grows until y^2 in Phi(y)
+    # overflows at k = 510, long before d_tol or max_iters could stop it.
     quad = scalar_quadratic()
 
     class DivergingStep:
@@ -244,8 +246,8 @@ def test_unbounded_guard():
         def apply_grad(self, x, g):
             return 2.0 * x + 1.0
 
-    trace = run_plain(np.array([1.0]), DivergingStep(), StopCriteria(bound_guard=1e3))
-    assert trace.stop_reason is StopReason.UNBOUNDED_GUARD
+    with pytest.raises(NonFiniteObjective, match="at iteration 510:"):
+        run_plain(np.array([1.0]), DivergingStep(), StopCriteria())
 
 
 def test_trace_csv_round_trip(tmp_path):

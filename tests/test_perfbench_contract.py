@@ -3,7 +3,8 @@
 perfbench measures from outside: it imports public names, subclasses the
 step and the objectives to count calls, and checks the evaluation count
 of each traced solve against its m_k column.  This runs that path on one
-8x16 instance and changes nothing in perfbench/.
+8x16 instance, parses the CLI argv it times, and changes nothing in
+perfbench/.
 """
 
 import importlib
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from descentls.cli import build_parser
 from descentls.instances import InstanceSpec, generate_instance
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -44,3 +46,13 @@ def test_traced_solve_matches_untraced(perfbench, variant):
     # Those evaluations plus one gradient per iterate, x0 included.
     assert counts["A"] == 3 * len(traced.records) + trials + 2
     assert counts["AT"] == len(traced.records) + 1
+
+
+def test_cli_commands_parse(perfbench, tmp_path):
+    # The benchmark's CLI workload passes these argv to `descentls`; a flag the
+    # parser no longer takes would make every timed CLI call exit 2.
+    measure, _ = perfbench
+    parser = build_parser()
+    for command, argv in measure.cli_commands(8, 16, 2, 0, tmp_path).items():
+        args, unknown = parser.parse_known_args(argv)
+        assert (args.command, unknown) == (command, [])
