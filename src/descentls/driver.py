@@ -12,10 +12,15 @@ loop iterates the bare base step (x_next = y) for comparison.
 
 The gradient of x_next, which the row's residual needs, is kept for the
 next iteration's base step, so each iteration evaluates the gradient once.
-With the search, an iteration costs 3 + trials products with A and 1 with
-A.T: Phi(x), Phi(y), one Phi per Armijo trial, and grad(x_next).  A plain
-iteration costs 3 and 1.  A run adds grad(x0) and the final Phi, so it
-makes 3 * iters + trials + 2 products with A and iters + 1 with A.T.
+The objective reuses its last product A x for an x with the same dtype,
+shape and bytes (`objectives.SmoothQuadratic`), so Phi(x) reuses the A x
+of grad(x), and on a plain row grad(y) reuses that of Phi(y).  A plain
+iteration costs 1 product with A and 1 with A.T, and a run of iters rows
+makes iters + 1 of each.  With the search an iteration makes 1 with A.T
+and at most 2 + trials with A: Phi(y), one Phi per Armijo trial, and
+grad(x_next), which reuses the accepted trial's product when x_next has
+its bits.  A run then makes at most 2 * iters + trials + 1 products with
+A and iters + 1 with A.T.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ None for the smooth objective, which has no support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
 import numpy as np
@@ -28,11 +28,14 @@ from .linalg import as_matrix, as_vector, matvec, norm, spectral_norm_sq, transp
 class Objective(Protocol):
     """Behavior contract shared by all objectives.
 
-    Cost in products with A: `value` makes one with A, `grad` one with A
-    and one with A.T, `residual` calls `grad`, and `residual_from_grad`,
-    `prox`, `nu` and `support_mask` make none.  A solver iteration
-    therefore costs 3 products with A and 1 with A.T without the search,
-    and 3 + trials with A and 1 with A.T with it (see `driver`).
+    Cost in products with A: `value` makes at most one with A, `grad` at
+    most one with A and one with A.T, `residual` calls `grad`, and
+    `residual_from_grad`, `prox`, `nu` and `support_mask` make none.  The
+    product with A is skipped when the previous `value` or `grad` call was
+    on an x of the same dtype, shape and bytes: both reuse that call's A x.
+    A solver iteration therefore costs 1 product with A and 1 with A.T
+    without the search, and at most 2 + trials with A and 1 with A.T with
+    it (see `driver`).
 
     An objective has a support exactly when `support_mask` returns a mask,
     not None; the solve loop and the diagnostics both ask it.
@@ -78,11 +81,23 @@ def hard_threshold(t, lam: float, h: float):
 
 @dataclass(frozen=True)
 class SmoothQuadratic:
-    """f(x) = 1/2 ||b - A x||^2 with a cached gradient-Lipschitz constant."""
+    """f(x) = 1/2 ||b - A x||^2 with a cached gradient-Lipschitz constant.
+
+    `value` and `grad` go through a one-entry memo of the last product:
+    a call on an x whose dtype, shape and bytes equal the last call's
+    reuses its A x, which has the same bits as a fresh product.  Mutating
+    x in place changes its bytes, so it misses.  `A` and `b` must not be
+    mutated after construction; `lipschitz` and the memo both assume that.
+    """
 
     A: np.ndarray
     b: np.ndarray
     lipschitz: float
+    # [(key of x, A x)]: one tuple, so a call never pairs a key with another
+    # call's product, in a list slot, which a miss (every Armijo trial) sets
+    # about 0.2 us faster than object.__setattr__ sets a frozen field.
+    # init=False: `dataclasses.replace` starts an empty memo.
+    _memo: list = field(default_factory=lambda: [(None, None)], init=False, compare=False, repr=False)
 
     @classmethod
     def from_data(cls, A, b, lipschitz: Optional[float] = None) -> "SmoothQuadratic":
@@ -94,12 +109,22 @@ class SmoothQuadratic:
             raise ValueError(f"A has {A.shape[0]} rows but b has length {b.shape[0]}")
         return cls(A=A, b=b, lipschitz=spectral_norm_sq(A) if lipschitz is None else lipschitz)
 
+    def _product(self, x: np.ndarray) -> np.ndarray:
+        """A x, from the memo when x has the last call's dtype, shape and bytes."""
+        key = (x.tobytes(), x.dtype, x.shape)
+        memo = self._memo
+        last, ax = memo[0]
+        if key != last:
+            ax = matvec(self.A, x)
+            memo[0] = (key, ax)
+        return ax
+
     def value(self, x: np.ndarray) -> float:
-        r = self.b - matvec(self.A, x)
+        r = self.b - self._product(x)
         return 0.5 * float(r.dot(r))
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return transpose_matvec(self.A, matvec(self.A, x) - self.b)
+        return transpose_matvec(self.A, self._product(x) - self.b)
 
     def residual(self, x: np.ndarray) -> float:
         return self.residual_from_grad(self.grad(x), None)
@@ -154,11 +179,14 @@ class L0LeastSquares:
         return (h - self.lipschitz) / 2.0
 
     def support_mask(self, x: np.ndarray) -> np.ndarray:
-        """|x_i| > zero_tol.
+        """|x_i| > zero_tol, and x_i != 0 at zero_tol == 0.
 
         The default exact-zero test suits iterates of hard thresholding, which
         writes exact zeros; a positive tolerance suits externally loaded vectors.
+        At zero_tol == 0 a NaN entry is support, as `value` counts it.
         """
+        if self.zero_tol == 0.0:
+            return x != 0.0
         return np.abs(x) > self.zero_tol
 
     def residual(self, x: np.ndarray) -> float:

@@ -1,7 +1,26 @@
 import hashlib
 import struct
 
+import numpy as np
+
 from descentls import linalg
+
+
+def platform_canary() -> str:
+    """Digest of the float64 primitives whose last bits vary with the CPU's
+    SIMD level and the BLAS kernel: log, cos, sin and a matrix-vector product.
+
+    Tests that pin platform-dependent bits key their tables by it: x86-64
+    with or without AVX-512 loops in numpy, and OpenBLAS Haswell-or-later or
+    Sandy Bridge kernels."""
+    u = np.random.Generator(np.random.PCG64(0)).random(4096)
+    x = np.zeros(64)
+    x[::9] = 1.0
+    x[::13] = -1.0
+    digest = hashlib.sha256()
+    for v in (np.log(u), np.cos(2.0 * np.pi * u), np.sin(2.0 * np.pi * u), u.reshape(64, 64) @ x):
+        digest.update(v.tobytes())
+    return digest.hexdigest()[:16]
 
 
 def write_v1_twin(twin):

@@ -5,6 +5,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
+from descentls import objectives
 from descentls.driver import (
     ARMIJO_FAILED,
     IterationRecord,
@@ -226,6 +227,44 @@ def test_run_matches_iterate_and_support_sets(params):
         assert record.support_left == len(before - after)
         x = x_next
     np.testing.assert_array_equal(x, trace.final_x)
+
+
+@pytest.mark.parametrize("spec", [InstanceSpec(32, 64, 4, 0.01, seed) for seed in (1, 9, 42)]
+                         + [InstanceSpec(256, 512, 32, 0.01, 1)], ids=["32x64-1", "32x64-9", "32x64-42", "256x512-1"])
+def test_products_per_run_follow_the_cost_model(monkeypatch, spec):
+    # Count the products themselves: objectives looks matvec and
+    # transpose_matvec up as module globals at call time.  Then rerun with
+    # the memo bypassed, which must change no bit of the run.
+    a, b, _ = generate_instance(spec)
+    step = IHTStep.default(L0LeastSquares(quad=SmoothQuadratic.from_data(a, b), lam=0.01))
+    params = LineSearchParams()
+    counts = {}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for variant in (None, params):
+        with monkeypatch.context() as m:
+            m.setattr(objectives, "matvec", counting("A", objectives.matvec))
+            m.setattr(objectives, "transpose_matvec", counting("AT", objectives.transpose_matvec))
+            counts.update(A=0, AT=0)
+            trace = run(np.zeros(spec.cols), step, variant, StopCriteria())
+        iters = len(trace.records)
+        assert counts["AT"] == iters + 1
+        if variant is None:
+            assert counts["A"] == iters + 1
+        else:
+            trials = sum(params.cap + 1 if r.m_k == ARMIJO_FAILED else r.m_k + 1
+                         for r in trace.records if r.d_norm > 0.0)
+            assert counts["A"] <= 2 * iters + trials + 1
+        with monkeypatch.context() as m:
+            m.setattr(SmoothQuadratic, "_product", lambda quad, x: objectives.matvec(quad.A, x))
+            fresh = run(np.zeros(spec.cols), step, variant, StopCriteria())
+        assert repr([astuple(r) for r in fresh.records]) == repr([astuple(r) for r in trace.records])
+        assert fresh.final_x.tobytes() == trace.final_x.tobytes() and fresh.final_phi == trace.final_phi
 
 
 def test_max_iters_stop():

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import platform_canary
 
 from descentls.instances import InstanceSpec, SeededStream, generate_instance
 
@@ -104,19 +105,6 @@ def test_in_place_generation_matches_out_of_place_reference():
         assert a.tobytes() == (want.reshape(rows, cols) / np.sqrt(rows)).tobytes()
 
 
-def _platform_canary() -> str:
-    """Digest of the float64 primitives whose last bits vary with the CPU's
-    SIMD level and the BLAS kernel: log, cos, sin and a matrix-vector product."""
-    u = np.random.Generator(np.random.PCG64(0)).random(4096)
-    x = np.zeros(64)
-    x[::9] = 1.0
-    x[::13] = -1.0
-    digest = hashlib.sha256()
-    for v in (np.log(u), np.cos(2.0 * np.pi * u), np.sin(2.0 * np.pi * u), u.reshape(64, 64) @ x):
-        digest.update(v.tobytes())
-    return digest.hexdigest()[:16]
-
-
 # First 16 hex digits of the sha256 of A, b and x_star, as the out-of-place
 # generator of commit d8bd532 made them, for (rows, cols, sparsity,
 # noise_sigma, seed): the CLI default, an odd rows*cols, a tall one, 1x1 and
@@ -149,7 +137,7 @@ _PINNED_DIGESTS = {
 
 
 def test_instance_bits_are_pinned_across_commits():
-    canary = _platform_canary()
+    canary = platform_canary()
     if canary not in _PINNED_DIGESTS:
         pytest.skip(f"no digests recorded for this platform's log, sin, cos and gemv (canary {canary})")
     for spec, want in zip(_PINNED_SPECS, _PINNED_DIGESTS[canary]):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,10 @@ def test_support_examples(identity_problem):
     np.testing.assert_array_equal(p.support_mask(np.array([1.5, 0.0])), [True, False])
     np.testing.assert_array_equal(p.support_mask(np.zeros(2)), [False, False])
     np.testing.assert_array_equal(p.support_mask(np.array([3.0, 0.5])), [True, True])
+    # -0.0 is a zero; a NaN entry is support, as value's count_nonzero counts it.
+    odd = np.array([-0.0, np.nan])
+    np.testing.assert_array_equal(p.support_mask(odd), [False, True])
+    assert np.count_nonzero(p.support_mask(odd)) == np.count_nonzero(odd) == 1
     tolerant = L0LeastSquares(quad=p.quad, lam=1.0, zero_tol=0.1)
     np.testing.assert_array_equal(tolerant.support_mask(np.array([0.05, 2.0])), [False, True])
     assert p.quad.support_mask(np.array([1.5, 0.0])) is None
@@ -154,3 +160,47 @@ def test_l0_value_is_the_mask_formula_as_a_python_float(zero_tol):
         assert value.hex() == expected.hex()
     counted = round((p.value(x) - quad.value(x)) / p.lam)
     assert counted == (6 if zero_tol == 0.0 else 2)
+
+
+def _fresh(quad):
+    """The same objective with an empty memo."""
+    return SmoothQuadratic(A=quad.A, b=quad.b, lipschitz=quad.lipschitz)
+
+
+def test_memo_misses_a_vector_mutated_in_place():
+    # A memo keyed on the identity of x would serve the old product here.
+    a, b, _ = generate_instance(InstanceSpec(8, 16, 2, 0.01, seed=4))
+    quad = SmoothQuadratic.from_data(a, b)
+    x = np.zeros(16)
+    assert quad.value(x) == _fresh(quad).value(x)
+    x[3] = 1.5
+    assert quad.value(x) == _fresh(quad).value(x) != _fresh(quad).value(np.zeros(16))
+    np.testing.assert_array_equal(quad.grad(x), _fresh(quad).grad(x))
+    x[3] = 0.0
+    np.testing.assert_array_equal(quad.grad(x), _fresh(quad).grad(x))
+
+
+def test_memo_is_keyed_on_dtype_and_shape_not_bytes_alone():
+    # An int64 view and an (n, 1) reshape have the bytes of the float64 x; a
+    # memo keyed on bytes alone would serve them its float64 product.
+    a, b, _ = generate_instance(InstanceSpec(8, 16, 2, 0.01, seed=4))
+    quad = SmoothQuadratic.from_data(a, b)
+    x = np.linspace(-1.0, 1.0, 16)
+    for other in (x.view(np.int64), x.reshape(16, 1)):
+        quad.grad(x)
+        got, want = quad.grad(other), _fresh(quad).grad(other)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+    quad.value(x)
+    assert quad.value(x.view(np.int64)) == _fresh(quad).value(x.view(np.int64)) != quad.value(x)
+
+
+def test_replace_starts_an_empty_memo():
+    a, b, _ = generate_instance(InstanceSpec(8, 16, 2, 0.01, seed=4))
+    quad = SmoothQuadratic.from_data(a, b)
+    x = np.linspace(-1.0, 1.0, 16)
+    quad.value(x)
+    doubled = replace(quad, A=2.0 * a)
+    assert doubled.value(x) == _fresh(doubled).value(x) != quad.value(x)
+    np.testing.assert_array_equal(doubled.grad(x), _fresh(doubled).grad(x))
+    assert quad == _fresh(quad) and "memo" not in repr(quad)
