@@ -1,9 +1,16 @@
 """Runtime verification of the inequalities behind the line-search framework.
 
 Every check consumes a completed `RunTrace` and reports the worst slack it
-observed.  Tolerances are absolute 1e-9, scaled by max(1, |Phi|) where an
-objective value sets the scale; double precision accumulated over at most
-~1e4 iterations stays well inside that.
+observed.  Each pads its inequality with TOL = 1e-9: scaled by max(1, |Phi|)
+in the decrease check, and absolute in the residual-bound, support and
+Cauchy-tail checks.  TOL is chosen, not derived from the instance or the
+trace, and it does not scale with them: it is loose where the padded
+quantity is far below 1, and may be tighter than rounding where it is far
+above 1.  Where b_k * ||d|| is far below 1e-9, the residual-bound check
+fails only a residual above about 1e-9: on the seed-42 instance with A
+scaled by 2^-43 (and d_tol by 2^43), row 105 of the plain run has
+b_k * ||d|| = 3.5e-15, and its residual times 1000 still passes.  ROADMAP
+item 8 derives a slack in the units of what each check pads.
 
 The decrease and residual constants are per row.  Row k extrapolates by
 t_k: its accepted eta_k, and 0 on a failed search and on a plain row.  It

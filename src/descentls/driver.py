@@ -12,15 +12,19 @@ loop iterates the bare base step (x_next = y) for comparison.
 
 The gradient of x_next, which the row's residual needs, is kept for the
 next iteration's base step, so each iteration evaluates the gradient once.
-The objective reuses its last product A x for an x with the same dtype,
-shape and bytes (`objectives.SmoothQuadratic`), so Phi(x) reuses the A x
-of grad(x), and on a plain row grad(y) reuses that of Phi(y).  A plain
-iteration costs 1 product with A and 1 with A.T, and a run of iters rows
-makes iters + 1 of each.  With the search an iteration makes 1 with A.T
-and at most 2 + trials with A: Phi(y), one Phi per Armijo trial, and
-grad(x_next), which reuses the accepted trial's product when x_next has
+The objective keeps the residual A x - b of its last point, and f(x) once
+Phi has been evaluated there, for an x with the same dtype, shape and
+bytes (`objectives.SmoothQuadratic`), with the bits of fresh calls.  So
+Phi(x) reuses the residual of grad(x), and on a plain row grad(y) reuses
+that of Phi(y); the next row's Phi(x) then finds f(x) stored and costs
+only the memo's key comparison and the support count.  A plain iteration
+costs 1 product with A and 1 with A.T, and a run of iters rows makes
+iters + 1 of each.  With the search an iteration makes 1 with A.T and at
+most 2 + trials with A: Phi(y), one Phi per Armijo trial, and
+grad(x_next), which reuses the accepted trial's residual when x_next has
 its bits.  A run then makes at most 2 * iters + trials + 1 products with
-A and iters + 1 with A.T.
+A and iters + 1 with A.T.  The objective's `value` and `grad` are called
+2 * iters + trials + 1 and iters + 1 times, whatever the memo serves.
 """
 
 from __future__ import annotations
@@ -158,6 +162,8 @@ def run(
     """
     obj = step.prob
     x = np.asarray(x0, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"x0 must be a 1-D vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
     # An overflow surfaces as NonFiniteObjective below; numpy's warnings would repeat it.

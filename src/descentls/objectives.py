@@ -30,9 +30,12 @@ class Objective(Protocol):
 
     Cost in products with A: `value` makes at most one with A, `grad` at
     most one with A and one with A.T, `residual` calls `grad`, and
-    `residual_from_grad`, `prox`, `nu` and `support_mask` make none.  The
-    product with A is skipped when the previous `value` or `grad` call was
-    on an x of the same dtype, shape and bytes: both reuse that call's A x.
+    `residual_from_grad`, `prox`, `nu` and `support_mask` make none.  When
+    the previous `value` or `grad` call was on an x of the same dtype,
+    shape and bytes, neither makes a product with A: both reuse that
+    point's residual A x - b, and a repeated `value` returns the stored
+    f(x), so it costs only the comparison of the key (plus the support
+    count of an l0 objective).  The results keep the bits of fresh calls.
     A solver iteration therefore costs 1 product with A and 1 with A.T
     without the search, and at most 2 + trials with A and 1 with A.T with
     it (see `driver`).
@@ -83,21 +86,27 @@ def hard_threshold(t, lam: float, h: float):
 class SmoothQuadratic:
     """f(x) = 1/2 ||b - A x||^2 with a cached gradient-Lipschitz constant.
 
-    `value` and `grad` go through a one-entry memo of the last product:
-    a call on an x whose dtype, shape and bytes equal the last call's
-    reuses its A x, which has the same bits as a fresh product.  Mutating
-    x in place changes its bytes, so it misses.  `A` and `b` must not be
-    mutated after construction; `lipschitz` and the memo both assume that.
+    `value` and `grad` share a one-entry memo of the last point x: the
+    residual e = A x - b, and f(x) = 1/2 e.e once `value` has been called
+    there.  A call on an x whose dtype, shape and bytes equal the last
+    call's makes no product: `value` returns the stored f, or computes it
+    once from e, and `grad` returns A.T e.  The bits are those of fresh
+    calls: e is the operand of A.T e either way, and e_i = -(b - A x)_i
+    exactly, so e.e is the BLAS dot of the same squares as r.r with
+    r = b - A x.  Mutating x in place changes its bytes, so it misses.
+    `A` and `b` must not be mutated after construction; `lipschitz` and
+    the memo both assume that.
     """
 
     A: np.ndarray
     b: np.ndarray
     lipschitz: float
-    # [(key of x, A x)]: one tuple, so a call never pairs a key with another
-    # call's product, in a list slot, which a miss (every Armijo trial) sets
-    # about 0.2 us faster than object.__setattr__ sets a frozen field.
+    # [key of x, A x - b, f(x) or None until `value` asks]: a miss sets all
+    # three in one slice assignment, so a key is never paired with another
+    # call's residual.  A list, which a miss (every Armijo trial) sets about
+    # 0.2 us faster than object.__setattr__ sets a frozen field.
     # init=False: `dataclasses.replace` starts an empty memo.
-    _memo: list = field(default_factory=lambda: [(None, None)], init=False, compare=False, repr=False)
+    _memo: list = field(default_factory=lambda: [None, None, None], init=False, compare=False, repr=False)
 
     @classmethod
     def from_data(cls, A, b, lipschitz: Optional[float] = None) -> "SmoothQuadratic":
@@ -109,22 +118,25 @@ class SmoothQuadratic:
             raise ValueError(f"A has {A.shape[0]} rows but b has length {b.shape[0]}")
         return cls(A=A, b=b, lipschitz=spectral_norm_sq(A) if lipschitz is None else lipschitz)
 
-    def _product(self, x: np.ndarray) -> np.ndarray:
-        """A x, from the memo when x has the last call's dtype, shape and bytes."""
+    def _entry(self, x: np.ndarray) -> list:
+        """The memo entry [key, A x - b, f or None] of x, made afresh unless x
+        has the last call's dtype, shape and bytes."""
         key = (x.tobytes(), x.dtype, x.shape)
         memo = self._memo
-        last, ax = memo[0]
-        if key != last:
-            ax = matvec(self.A, x)
-            memo[0] = (key, ax)
-        return ax
+        if key != memo[0]:
+            memo[:] = key, matvec(self.A, x) - self.b, None
+        return memo
 
     def value(self, x: np.ndarray) -> float:
-        r = self.b - self._product(x)
-        return 0.5 * float(r.dot(r))
+        entry = self._entry(x)
+        f = entry[2]
+        if f is None:
+            e = entry[1]
+            f = entry[2] = 0.5 * float(e.dot(e))
+        return f
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return transpose_matvec(self.A, self._product(x) - self.b)
+        return transpose_matvec(self.A, self._entry(x)[1])
 
     def residual(self, x: np.ndarray) -> float:
         return self.residual_from_grad(self.grad(x), None)

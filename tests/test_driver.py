@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -179,6 +180,18 @@ def test_run_from_fixed_point():
     assert trace.stop_reason is StopReason.D_TOL
 
 
+@pytest.mark.parametrize("shape", [(2, 1), (1, 2), ()], ids=["column", "row", "scalar"])
+@pytest.mark.parametrize("params", [PARAMS, None], ids=["search", "plain"])
+def test_run_rejects_an_x0_that_is_not_1d(monkeypatch, shape, params):
+    # Rejected with its shape named, before any product with A or A.T.
+    calls = []
+    for name in ("matvec", "transpose_matvec"):
+        monkeypatch.setattr(objectives, name, lambda *args, name=name: calls.append(name))
+    with pytest.raises(ValueError, match=f"x0 must be a 1-D vector, got shape {re.escape(str(shape))}"):
+        run(np.zeros(shape), micro_step(), params, StopCriteria())
+    assert calls == []
+
+
 def test_run_plain_geometric_and_iteration_count():
     step = micro_step()
     trace = run_plain(np.zeros(2), step, StopCriteria(d_tol=1e-10))
@@ -234,7 +247,8 @@ def test_run_matches_iterate_and_support_sets(params):
 def test_products_per_run_follow_the_cost_model(monkeypatch, spec):
     # Count the products themselves: objectives looks matvec and
     # transpose_matvec up as module globals at call time.  Then rerun with
-    # the memo bypassed, which must change no bit of the run.
+    # the whole memo bypassed, residual and value alike, which must change
+    # no bit of the run.
     a, b, _ = generate_instance(spec)
     step = IHTStep.default(L0LeastSquares(quad=SmoothQuadratic.from_data(a, b), lam=0.01))
     params = LineSearchParams()
@@ -261,7 +275,9 @@ def test_products_per_run_follow_the_cost_model(monkeypatch, spec):
                          for r in trace.records if r.d_norm > 0.0)
             assert counts["A"] <= 2 * iters + trials + 1
         with monkeypatch.context() as m:
-            m.setattr(SmoothQuadratic, "_product", lambda quad, x: objectives.matvec(quad.A, x))
+            # A fresh entry per call: no call reuses another's residual or f.
+            m.setattr(SmoothQuadratic, "_entry",
+                      lambda quad, x: [None, objectives.matvec(quad.A, x) - quad.b, None])
             fresh = run(np.zeros(spec.cols), step, variant, StopCriteria())
         assert repr([astuple(r) for r in fresh.records]) == repr([astuple(r) for r in trace.records])
         assert fresh.final_x.tobytes() == trace.final_x.tobytes() and fresh.final_phi == trace.final_phi

@@ -167,6 +167,43 @@ def _fresh(quad):
     return SmoothQuadratic(A=quad.A, b=quad.b, lipschitz=quad.lipschitz)
 
 
+def _bits(result):
+    return result.hex() if type(result) is float else result.tobytes()
+
+
+def _memo_free(quad, name, x):
+    """`value` or `grad` by the formulas without a memo: with r = b - A x,
+    f = r.r / 2 and the gradient A.T (A x - b)."""
+    ax = quad.A.dot(x)
+    if name == "value":
+        r = quad.b - ax
+        return 0.5 * float(r.dot(r))
+    return quad.A.T.dot(ax - quad.b)
+
+
+@pytest.mark.parametrize("second", ["value", "grad"])
+@pytest.mark.parametrize("first", ["value", "grad"])
+def test_memo_keeps_the_bits_of_fresh_calls(first, second):
+    # The second call on the same point is served from the memo: the stored
+    # f after value, f from the stored residual after grad, A.T times the
+    # stored residual.  Each must have the bits of a call on a fresh objective
+    # and of the memo-free formulas, also where the residual is +0.0 (an
+    # exact fit, b = A x) and where x has -0.0 entries.
+    a, b, _ = generate_instance(InstanceSpec(32, 64, 4, 0.01, seed=4))
+    x = np.linspace(-1.0, 1.0, 64)
+    x[::3] = -0.0
+    sparse = np.full(64, -0.0)
+    sparse[[2, 5, 11]] = [1.5, -0.25, 3.0]
+    fit = SmoothQuadratic.from_data(a, a.dot(sparse))
+    assert _memo_free(fit, "value", sparse).hex() == "0x0.0p+0"
+    for quad, v in [(SmoothQuadratic.from_data(a, b), x), (SmoothQuadratic.from_data(a, b), -x),
+                    (fit, sparse), (fit, x)]:
+        got = [getattr(quad, name)(v) for name in (first, second)]
+        fresh = [getattr(_fresh(quad), name)(v) for name in (first, second)]
+        reference = [_memo_free(quad, name, v) for name in (first, second)]
+        assert [_bits(r) for r in got] == [_bits(r) for r in fresh] == [_bits(r) for r in reference]
+
+
 def test_memo_misses_a_vector_mutated_in_place():
     # A memo keyed on the identity of x would serve the old product here.
     a, b, _ = generate_instance(InstanceSpec(8, 16, 2, 0.01, seed=4))
