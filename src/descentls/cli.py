@@ -192,9 +192,7 @@ def cmd_compare(args) -> int:
         "ls_final_phi": ls_trace.final_phi,
         "seed": args.seed if args.matrix is None else None,
     }
-    with open(args.out / "compare.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    diagnostics.write_report(summary, args.out / "compare.json")
     print(json.dumps(summary))
     return 0
 
@@ -206,11 +204,13 @@ def cmd_verify(args) -> int:
         raise ValueError("trace is empty")
     plain = loaded[0].m_k is None and loaded[0].eta_k is None
     fresh = run(problem.x0, problem.step, None if plain else problem.params, problem.stop)
+    args.out.mkdir(parents=True, exist_ok=True)
     if (difference := _first_difference(loaded, fresh.records)) is not None:
         print(f"FAIL trace_integrity: {difference}")
+        diagnostics.write_report({"trace_integrity": {"passed": False, "note": difference}},
+                                 args.out / "verify.json")
         return 1
     print("PASS trace_integrity")
-    args.out.mkdir(parents=True, exist_ok=True)
     ok = _verify_and_report(fresh, problem, args.out / "verify.json")
     return 0 if ok else 1
 

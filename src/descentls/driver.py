@@ -12,18 +12,14 @@ loop iterates the bare base step (x_next = y) for comparison.
 
 The gradient of x_next, which the row's residual needs, is kept for the
 next iteration's base step, so each iteration evaluates the gradient once.
-The objective keeps the residual A x - b of its last point, and f(x) once
-Phi has been evaluated there, for an x with the same dtype, shape and
-bytes (`objectives.SmoothQuadratic`), with the bits of fresh calls.  So
-Phi(x) reuses the residual of grad(x), and on a plain row grad(y) reuses
-that of Phi(y); the next row's Phi(x) then finds f(x) stored and costs
-only the memo's key comparison and the support count.  A plain iteration
-costs 1 product with A and 1 with A.T, and a run of iters rows makes
-iters + 1 of each.  With the search an iteration makes 1 with A.T and at
-most 2 + trials with A: Phi(y), one Phi per Armijo trial, and
-grad(x_next), which reuses the accepted trial's residual when x_next has
-its bits.  A run then makes at most 2 * iters + trials + 1 products with
-A and iters + 1 with A.T.  The objective's `value` and `grad` are called
+The objective's memo (`objectives.SmoothQuadratic`) serves Phi(x) from
+grad(x), grad(y) on a plain row from Phi(y), and grad(x_next) from the
+accepted trial when x_next has its bits.  So a plain iteration costs 1
+product with A and 1 with A.T, and a run of iters rows makes iters + 1 of
+each.  With the search an iteration makes 1 with A.T and at most
+2 + trials with A: Phi(y), one Phi per Armijo trial, and grad(x_next).  A
+run then makes at most 2 * iters + trials + 1 products with A and
+iters + 1 with A.T.  The objective's `value` and `grad` are called
 2 * iters + trials + 1 and iters + 1 times, whatever the memo serves.
 """
 

@@ -22,7 +22,7 @@ from typing import Optional, Protocol
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, matvec, norm, spectral_norm_sq, transpose_matvec
+from .linalg import DimensionMismatch, as_matrix, as_vector, matvec, norm, spectral_norm_sq, transpose_matvec
 
 
 class Objective(Protocol):
@@ -30,15 +30,11 @@ class Objective(Protocol):
 
     Cost in products with A: `value` makes at most one with A, `grad` at
     most one with A and one with A.T, `residual` calls `grad`, and
-    `residual_from_grad`, `prox`, `nu` and `support_mask` make none.  When
-    the previous `value` or `grad` call was on an x of the same dtype,
-    shape and bytes, neither makes a product with A: both reuse that
-    point's residual A x - b, and a repeated `value` returns the stored
-    f(x), so it costs only the comparison of the key (plus the support
-    count of an l0 objective).  The results keep the bits of fresh calls.
-    A solver iteration therefore costs 1 product with A and 1 with A.T
-    without the search, and at most 2 + trials with A and 1 with A.T with
-    it (see `driver`).
+    `residual_from_grad`, `prox`, `nu` and `support_mask` make none.  A
+    call on the last call's point makes no product with A (the memo of
+    `SmoothQuadratic`), so a solver iteration costs 1 product with A and
+    1 with A.T without the search, and at most 2 + trials with A and 1
+    with A.T with it (see `driver`).
 
     An objective has a support exactly when `support_mask` returns a mask,
     not None; the solve loop and the diagnostics both ask it.
@@ -86,14 +82,16 @@ def hard_threshold(t, lam: float, h: float):
 class SmoothQuadratic:
     """f(x) = 1/2 ||b - A x||^2 with a cached gradient-Lipschitz constant.
 
-    `value` and `grad` share a one-entry memo of the last point x: the
-    residual e = A x - b, and f(x) = 1/2 e.e once `value` has been called
-    there.  A call on an x whose dtype, shape and bytes equal the last
-    call's makes no product: `value` returns the stored f, or computes it
-    once from e, and `grad` returns A.T e.  The bits are those of fresh
-    calls: e is the operand of A.T e either way, and e_i = -(b - A x)_i
-    exactly, so e.e is the BLAS dot of the same squares as r.r with
-    r = b - A x.  Mutating x in place changes its bytes, so it misses.
+    `value` and `grad` share a one-entry memo of the last point x: its key
+    (the dtype, shape and bytes of x), the residual e = A x - b and
+    f(x) = 1/2 e.e, all set together when a call misses.  A miss rejects
+    an x that is not 1-D before any product.  A call whose x has the last
+    call's key makes no product: `value` returns the stored f, which costs
+    only the key comparison, and `grad` returns A.T e.  The bits are those
+    of fresh calls: e is the operand of A.T e either way, and
+    e_i = -(b - A x)_i exactly, so e.e is the BLAS dot of the same squares
+    as r.r with r = b - A x.  Mutating x in place changes its bytes, so it
+    misses, and `dataclasses.replace` starts an empty memo.
     `A` and `b` must not be mutated after construction; `lipschitz` and
     the memo both assume that.
     """
@@ -101,11 +99,9 @@ class SmoothQuadratic:
     A: np.ndarray
     b: np.ndarray
     lipschitz: float
-    # [key of x, A x - b, f(x) or None until `value` asks]: a miss sets all
-    # three in one slice assignment, so a key is never paired with another
-    # call's residual.  A list, which a miss (every Armijo trial) sets about
-    # 0.2 us faster than object.__setattr__ sets a frozen field.
-    # init=False: `dataclasses.replace` starts an empty memo.
+    # [key, e, f], replaced whole by one slice assignment.  A list, which a
+    # miss (every Armijo trial) sets about 0.2 us faster than
+    # object.__setattr__ sets a frozen field.
     _memo: list = field(default_factory=lambda: [None, None, None], init=False, compare=False, repr=False)
 
     @classmethod
@@ -119,21 +115,18 @@ class SmoothQuadratic:
         return cls(A=A, b=b, lipschitz=spectral_norm_sq(A) if lipschitz is None else lipschitz)
 
     def _entry(self, x: np.ndarray) -> list:
-        """The memo entry [key, A x - b, f or None] of x, made afresh unless x
-        has the last call's dtype, shape and bytes."""
+        """The memo entry [key, A x - b, f(x)] of x, made afresh on a miss."""
         key = (x.tobytes(), x.dtype, x.shape)
         memo = self._memo
         if key != memo[0]:
-            memo[:] = key, matvec(self.A, x) - self.b, None
+            if x.ndim != 1:
+                raise DimensionMismatch(f"x must be a 1-D vector, got shape {x.shape}")
+            e = matvec(self.A, x) - self.b
+            memo[:] = key, e, 0.5 * float(e.dot(e))
         return memo
 
     def value(self, x: np.ndarray) -> float:
-        entry = self._entry(x)
-        f = entry[2]
-        if f is None:
-            e = entry[1]
-            f = entry[2] = 0.5 * float(e.dot(e))
-        return f
+        return self._entry(x)[2]
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return transpose_matvec(self.A, self._entry(x)[1])

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -371,6 +372,26 @@ def test_verify_catches_corruption(tmp_path, capsys, row, edits, expected):
     assert main(["verify", "--seed", "9", "--trace", str(out / "trace.csv"),
                  "--out", str(out)]) == 1
     assert expected + ":" in capsys.readouterr().out
+
+
+def test_failed_verify_replaces_the_passing_report(tmp_path, capsys):
+    # run leaves a verify.json in which every check passed; a verify whose
+    # trace fails trace_integrity must replace it, and write one into an
+    # --out that does not exist yet.
+    out = tmp_path / "d"
+    assert main(["run", "--seed", "3", "--out", str(out)]) == 0
+    copy = tmp_path / "trace.csv"
+    shutil.copyfile(out / "trace.csv", copy)
+    _corrupt(copy, 5, {3: lambda v: v * 1.5})
+    for target in (out, tmp_path / "new"):
+        capsys.readouterr()
+        assert main(["verify", "--seed", "3", "--trace", str(copy), "--out", str(target)]) == 1
+        printed = capsys.readouterr().out
+        assert printed.startswith(INTEGRITY + "4: {'d_norm'") and printed.count("\n") == 1
+        note = printed.removeprefix("FAIL trace_integrity: ").rstrip("\n")
+        report = (target / "verify.json").read_text()
+        assert json.loads(report) == {"trace_integrity": {"passed": False, "note": note}}
+        assert report.endswith("}\n")
 
 
 def test_run_records_vanished_trial_steps_as_failed_searches(tmp_path, capsys):

@@ -242,6 +242,11 @@ def test_run_matches_iterate_and_support_sets(params):
     np.testing.assert_array_equal(x, trace.final_x)
 
 
+def _fresh_entry(quad, x):
+    e = objectives.matvec(quad.A, x) - quad.b
+    return [None, e, 0.5 * float(e.dot(e))]
+
+
 @pytest.mark.parametrize("spec", [InstanceSpec(32, 64, 4, 0.01, seed) for seed in (1, 9, 42)]
                          + [InstanceSpec(256, 512, 32, 0.01, 1)], ids=["32x64-1", "32x64-9", "32x64-42", "256x512-1"])
 def test_products_per_run_follow_the_cost_model(monkeypatch, spec):
@@ -275,12 +280,52 @@ def test_products_per_run_follow_the_cost_model(monkeypatch, spec):
                          for r in trace.records if r.d_norm > 0.0)
             assert counts["A"] <= 2 * iters + trials + 1
         with monkeypatch.context() as m:
-            # A fresh entry per call: no call reuses another's residual or f.
-            m.setattr(SmoothQuadratic, "_entry",
-                      lambda quad, x: [None, objectives.matvec(quad.A, x) - quad.b, None])
+            # A complete fresh entry per call: no call reuses another's residual or f.
+            m.setattr(SmoothQuadratic, "_entry", _fresh_entry)
             fresh = run(np.zeros(spec.cols), step, variant, StopCriteria())
         assert repr([astuple(r) for r in fresh.records]) == repr([astuple(r) for r in trace.records])
         assert fresh.final_x.tobytes() == trace.final_x.tobytes() and fresh.final_phi == trace.final_phi
+
+
+@pytest.mark.parametrize("variant", [None, PARAMS], ids=["plain", "search"])
+@pytest.mark.parametrize("smooth", [False, True], ids=["l0", "smooth"])
+@pytest.mark.parametrize("spec", [InstanceSpec(32, 64, 4, 0.01, seed) for seed in (1, 9, 42)]
+                         + [InstanceSpec(256, 512, 32, 0.01, 1)], ids=["32x64-1", "32x64-9", "32x64-42", "256x512-1"])
+def test_every_memo_entry_of_a_run_is_read_by_value(monkeypatch, spec, smooth, variant):
+    # A miss computes f with the residual, which costs nothing extra only
+    # while `value` reads every entry before the next miss.  A loop change
+    # that made an entry only `grad` reads would pay a dot nobody uses.
+    a, b, _ = generate_instance(spec)
+    quad = SmoothQuadratic.from_data(a, b)
+    step = ProxGradientStep.default(quad if smooth else L0LeastSquares(quad=quad, lam=0.01))
+    calls = []  # [method name, whether its call missed the memo]
+    entry = SmoothQuadratic._entry
+
+    def tracked_entry(self, x):
+        key = self._memo[0]
+        result = entry(self, x)
+        calls[-1][1] = result[0] is not key
+        return result
+
+    def tracked(name):
+        method = getattr(SmoothQuadratic, name)
+
+        def wrapped(self, x):
+            calls.append([name, False])
+            return method(self, x)
+        return wrapped
+
+    monkeypatch.setattr(SmoothQuadratic, "_entry", tracked_entry)
+    for name in ("value", "grad"):
+        monkeypatch.setattr(SmoothQuadratic, name, tracked(name))
+    run(np.zeros(spec.cols), step, variant, StopCriteria())
+    readers = []  # per memo entry, the methods that read it
+    for name, missed in calls:
+        if missed:
+            readers.append(set())
+        readers[-1].add(name)
+    assert calls[0][1] and len(readers) > 2
+    assert all("value" in names for names in readers)
 
 
 def test_max_iters_stop():

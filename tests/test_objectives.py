@@ -185,10 +185,9 @@ def _memo_free(quad, name, x):
 @pytest.mark.parametrize("first", ["value", "grad"])
 def test_memo_keeps_the_bits_of_fresh_calls(first, second):
     # The second call on the same point is served from the memo: the stored
-    # f after value, f from the stored residual after grad, A.T times the
-    # stored residual.  Each must have the bits of a call on a fresh objective
-    # and of the memo-free formulas, also where the residual is +0.0 (an
-    # exact fit, b = A x) and where x has -0.0 entries.
+    # f, or A.T times the stored residual.  Each must have the bits of a
+    # call on a fresh objective and of the memo-free formulas, also where the
+    # residual is +0.0 (an exact fit, b = A x) and where x has -0.0 entries.
     a, b, _ = generate_instance(InstanceSpec(32, 64, 4, 0.01, seed=4))
     x = np.linspace(-1.0, 1.0, 64)
     x[::3] = -0.0
@@ -219,17 +218,26 @@ def test_memo_misses_a_vector_mutated_in_place():
 
 def test_memo_is_keyed_on_dtype_and_shape_not_bytes_alone():
     # An int64 view and an (n, 1) reshape have the bytes of the float64 x; a
-    # memo keyed on bytes alone would serve them its float64 product.
+    # memo keyed on bytes alone would serve them its float64 product.  The
+    # column is no vector: it must raise, not broadcast A x - b to (m, m).
     a, b, _ = generate_instance(InstanceSpec(8, 16, 2, 0.01, seed=4))
     quad = SmoothQuadratic.from_data(a, b)
     x = np.linspace(-1.0, 1.0, 16)
-    for other in (x.view(np.int64), x.reshape(16, 1)):
-        quad.grad(x)
-        got, want = quad.grad(other), _fresh(quad).grad(other)
-        assert got.shape == want.shape
-        np.testing.assert_array_equal(got, want)
+    quad.grad(x)
+    other = x.view(np.int64)
+    got, want = quad.grad(other), _fresh(quad).grad(other)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
     quad.value(x)
     assert quad.value(x.view(np.int64)) == _fresh(quad).value(x.view(np.int64)) != quad.value(x)
+    column = x.reshape(16, 1)
+    for name in ("value", "grad"):
+        with pytest.raises(DimensionMismatch, match=r"\(16, 1\)"):
+            getattr(_fresh(quad), name)(column)
+        for first in ("value", "grad"):
+            getattr(quad, first)(x)
+            with pytest.raises(DimensionMismatch, match=r"\(16, 1\)"):
+                getattr(quad, name)(column)
 
 
 def test_replace_starts_an_empty_memo():
