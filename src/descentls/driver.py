@@ -1,7 +1,7 @@
 """Capped Armijo extrapolation search and the iteration loop.
 
-One iteration computes y = step.apply(x), d = y - x, then searches for the
-smallest m in {0..cap} with
+One iteration computes y = step.apply_grad(x, g) from the carried gradient
+g = grad f(x), d = y - x, then searches for the smallest m in {0..cap} with
 
     Phi(y + eta^m d) <= Phi(y) - alpha * eta^m * ||d||^2
 
@@ -116,24 +116,20 @@ def armijo_search(
     y: np.ndarray,
     d: np.ndarray,
     params: LineSearchParams,
-    phi_y: Optional[float] = None,
-    d_sq: Optional[float] = None,
+    phi_y: float,
+    d_sq: float,
 ) -> tuple[int, float]:
-    """Smallest m in {0..cap} satisfying the Armijo condition at y along d.
+    """Smallest m in {0..cap} satisfying the Armijo condition at y along d,
+    given phi_y = Phi(y) and d_sq = d.d.
 
     Returns (m, eta**m), or (ARMIJO_FAILED, 0.0) when no m up to the cap
-    works.  At most cap + 1 objective evaluations; pass phi_y and d_sq to
-    reuse cached values of Phi(y) and d.d.  The comparison is exact
+    works.  At most cap + 1 objective evaluations.  The comparison is exact
     floating point, no slack.  A nonzero d whose accepted trial point
     equals y (t * d vanished against y, as it does for every larger m too)
     is a failure: the test then held only because nothing moved.
     """
     if y.shape != d.shape:
         raise ValueError("y and d must have the same length")
-    if phi_y is None:
-        phi_y = obj.value(y)
-    if d_sq is None:
-        d_sq = float(d.dot(d))
     for m in range(params.cap + 1):
         t = params.eta ** m
         trial = y + t * d

@@ -1,12 +1,11 @@
 """Objective functions: smooth least-squares loss and its l0-regularized sum.
 
 Both objectives are Phi = f + g with f = 1/2 ||b - A x||^2.  They expose
-`value` and `residual`, where `residual(x)` is the distance from zero to
-the (sub)differential at x.  For the l0 objective this has a closed form:
-the norm of the smooth gradient restricted to the support of x, because
-zero coordinates of the counting regularizer contribute the whole real
-line to the subdifferential.  `residual_from_grad(g, mask)` is the same
-quantity from a gradient and support mask the caller already holds.
+`value` and `residual_from_grad(g, mask)`, the distance from zero to the
+(sub)differential at x given g = grad(x) and mask = support_mask(x).  For
+the l0 objective this has a closed form: the norm of the smooth gradient
+restricted to the support of x, because zero coordinates of the counting
+regularizer contribute the whole real line to the subdifferential.
 `grad` (of f) and `prox` (of g) are what a proximal-gradient step needs;
 `lipschitz` is the gradient-Lipschitz constant of f, and `nu(h)` is the
 sufficient-decrease constant of that step with parameter h, positive
@@ -29,12 +28,10 @@ class Objective(Protocol):
     """Behavior contract shared by all objectives.
 
     Cost in products with A: `value` makes at most one with A, `grad` at
-    most one with A and one with A.T, `residual` calls `grad`, and
-    `residual_from_grad`, `prox`, `nu` and `support_mask` make none.  A
-    call on the last call's point makes no product with A (the memo of
-    `SmoothQuadratic`), so a solver iteration costs 1 product with A and
-    1 with A.T without the search, and at most 2 + trials with A and 1
-    with A.T with it (see `driver`).
+    most one with A and one with A.T, and `residual_from_grad`, `prox`,
+    `nu` and `support_mask` make none.  A call on the last call's point
+    makes no product with A (the memo of `SmoothQuadratic`).  `driver`
+    states what a solver iteration costs.
 
     An objective has a support exactly when `support_mask` returns a mask,
     not None; the solve loop and the diagnostics both ask it.
@@ -44,10 +41,8 @@ class Objective(Protocol):
 
     def value(self, x: np.ndarray) -> float: ...
 
-    def residual(self, x: np.ndarray) -> float: ...
-
     def residual_from_grad(self, g: np.ndarray, mask: Optional[np.ndarray]) -> float:
-        """`residual(x)` given g = grad(x) and mask = support_mask(x); no product with A."""
+        """dist(0, dPhi(x)) given g = grad(x) and mask = support_mask(x); no product with A."""
         ...
 
     def grad(self, x: np.ndarray) -> np.ndarray: ...
@@ -84,11 +79,12 @@ class SmoothQuadratic:
 
     `value` and `grad` share a one-entry memo of the last point x: its key
     (the dtype, shape and bytes of x), the residual e = A x - b and
-    f(x) = 1/2 e.e, all set together when a call misses.  A miss rejects
-    an x that is not 1-D before any product.  A call whose x has the last
-    call's key makes no product: `value` returns the stored f, which costs
-    only the key comparison, and `grad` returns A.T e.  The bits are those
-    of fresh calls: e is the operand of A.T e either way, and
+    f(x) = 1/2 e.e, all set together when a call misses.  An x that is
+    not a numpy array is a TypeError, and a miss rejects an x that is not
+    1-D before any product.  A call whose x has the last call's key makes
+    no product: `value` returns the stored f, which costs only the key
+    comparison, and `grad` returns A.T e.  The bits are those of fresh
+    calls: e is the operand of A.T e either way, and
     e_i = -(b - A x)_i exactly, so e.e is the BLAS dot of the same squares
     as r.r with r = b - A x.  Mutating x in place changes its bytes, so it
     misses, and `dataclasses.replace` starts an empty memo.
@@ -116,7 +112,10 @@ class SmoothQuadratic:
 
     def _entry(self, x: np.ndarray) -> list:
         """The memo entry [key, A x - b, f(x)] of x, made afresh on a miss."""
-        key = (x.tobytes(), x.dtype, x.shape)
+        try:
+            key = (x.tobytes(), x.dtype, x.shape)
+        except AttributeError:
+            raise TypeError(f"x must be a numpy array, got {type(x).__name__}") from None
         memo = self._memo
         if key != memo[0]:
             if x.ndim != 1:
@@ -130,9 +129,6 @@ class SmoothQuadratic:
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         return transpose_matvec(self.A, self._entry(x)[1])
-
-    def residual(self, x: np.ndarray) -> float:
-        return self.residual_from_grad(self.grad(x), None)
 
     def residual_from_grad(self, g: np.ndarray, mask: None) -> float:
         return norm(g)
@@ -193,9 +189,6 @@ class L0LeastSquares:
         if self.zero_tol == 0.0:
             return x != 0.0
         return np.abs(x) > self.zero_tol
-
-    def residual(self, x: np.ndarray) -> float:
-        return self.residual_from_grad(self.grad(x), self.support_mask(x))
 
     def residual_from_grad(self, g: np.ndarray, mask: np.ndarray) -> float:
         """The norm of g on the support; 0.0 on an empty support."""

@@ -53,9 +53,6 @@ class ProxGradientStep:
         """Hard-threshold level sqrt(2*lam/h); defined for l0 objectives only."""
         return math.sqrt(2.0 * self.prob.lam / self.h)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.apply_grad(x, self.prob.grad(x))
-
     def apply_grad(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The step from x given g = grad f(x); no product with A."""
         return self.prob.prox(x - g / self.h, self.h)

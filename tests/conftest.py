@@ -32,3 +32,13 @@ def write_v1_twin(twin):
     payload = data[header.size:]
     v1_header = struct.pack("<8sQQ32s32s", b"DLSF64v1", rows, cols, csv_sha, hashlib.sha256(payload).digest())
     twin.write_bytes(v1_header + payload)
+
+
+def base_step(step, x):
+    """The base step y = prox(x - grad f(x)/h) from x alone."""
+    return step.apply_grad(x, step.prob.grad(x))
+
+
+def residual_at(obj, x):
+    """dist(0, dPhi(x)) from x alone."""
+    return obj.residual_from_grad(obj.grad(x), obj.support_mask(x))

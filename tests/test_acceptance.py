@@ -155,9 +155,9 @@ def test_criterion_5_armijo_oracle_equivalence():
                                             rng.standard_normal(1))
         y = rng.standard_normal(n)
         d = rng.standard_normal(n) * float(rng.uniform(0, 2))
-        got = armijo_search(obj, y, d, PARAMS)
         phi_y = obj.value(y)
         d_sq = float(d @ d)
+        got = armijo_search(obj, y, d, PARAMS, phi_y, d_sq)
         expected = (ARMIJO_FAILED, 0.0)
         for m in range(PARAMS.cap + 1):
             t = PARAMS.eta ** m

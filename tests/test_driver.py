@@ -5,6 +5,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from conftest import base_step
 
 from descentls import objectives
 from descentls.driver import (
@@ -47,6 +48,11 @@ def one_iteration(x, step, params):
     return trace.final_x, record
 
 
+def search(obj, y, d, params):
+    """`armijo_search` given Phi(y) and d.d, as `run` passes them."""
+    return armijo_search(obj, y, d, params, obj.value(y), float(d.dot(d)))
+
+
 def brute_force_armijo(obj, y, d, params):
     """Independent oracle: test every m in 0..cap, return the smallest feasible."""
     phi_y = obj.value(y)
@@ -84,25 +90,25 @@ def test_params_validation():
 
 def test_armijo_success_at_m0():
     obj = scalar_quadratic()
-    m, eta_k = armijo_search(obj, np.array([0.5]), np.array([-0.5]), PARAMS)
+    m, eta_k = search(obj, np.array([0.5]), np.array([-0.5]), PARAMS)
     assert (m, eta_k) == (0, 1.0)
 
 
 def test_armijo_failure_at_minimizer():
     obj = scalar_quadratic()
-    m, eta_k = armijo_search(obj, np.array([0.0]), np.array([-1.0]), PARAMS)
+    m, eta_k = search(obj, np.array([0.0]), np.array([-1.0]), PARAMS)
     assert (m, eta_k) == (ARMIJO_FAILED, 0.0)
 
 
 def test_armijo_l0_worked_example():
     step = micro_step()
-    m, eta_k = armijo_search(step.prob, np.array([2.25, 0.0]), np.array([0.75, 0.0]), PARAMS)
+    m, eta_k = search(step.prob, np.array([2.25, 0.0]), np.array([0.75, 0.0]), PARAMS)
     assert (m, eta_k) == (0, 1.0)
 
 
 def test_armijo_zero_direction():
     obj = scalar_quadratic()
-    m, eta_k = armijo_search(obj, np.array([0.7]), np.array([0.0]), PARAMS)
+    m, eta_k = search(obj, np.array([0.7]), np.array([0.0]), PARAMS)
     assert (m, eta_k) == (0, 1.0)
 
 
@@ -113,7 +119,7 @@ def test_armijo_fails_when_trial_point_equals_y():
     y, d = np.array([1.0]), np.array([1e-300])
     params = LineSearchParams(alpha=0.1, eta=0.5, cap=100)
     assert brute_force_armijo(obj, y, d, params)[0] != ARMIJO_FAILED
-    assert armijo_search(obj, y, d, params) == (ARMIJO_FAILED, 0.0)
+    assert search(obj, y, d, params) == (ARMIJO_FAILED, 0.0)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -126,7 +132,7 @@ def test_armijo_matches_brute_force(seed):
     else:
         obj = SmoothQuadratic.from_data(rng.standard_normal((2, 2)), rng.standard_normal(2))
         y, d = rng.standard_normal(2), rng.standard_normal(2)
-    assert armijo_search(obj, y, d, PARAMS) == brute_force_armijo(obj, y, d, PARAMS)
+    assert search(obj, y, d, PARAMS) == brute_force_armijo(obj, y, d, PARAMS)
 
 
 def test_iterate_worked_instance():
@@ -155,8 +161,8 @@ def test_failed_search_advances_to_y():
     quad = scalar_quadratic()
     gd = ProxGradientStep(prob=quad, h=quad.lipschitz)
     x = np.array([1.0])
-    y = gd.apply(x)
-    m, eta_k = armijo_search(quad, y, y - x, LineSearchParams(alpha=5.0, eta=0.5, cap=5))
+    y = base_step(gd, x)
+    m, eta_k = search(quad, y, y - x, LineSearchParams(alpha=5.0, eta=0.5, cap=5))
     assert (m, eta_k) == (ARMIJO_FAILED, 0.0)
     x_next, record = one_iteration(x, gd, LineSearchParams(alpha=5.0, eta=0.5, cap=5))
     np.testing.assert_array_equal(x_next, y)

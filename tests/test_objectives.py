@@ -1,12 +1,17 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import base_step, residual_at
 
+from descentls import objectives
+from descentls.diagnostics import run_diagnostics
+from descentls.driver import LineSearchParams, StopCriteria, run
 from descentls.instances import InstanceSpec, generate_instance
 from descentls.linalg import DimensionMismatch
 from descentls.objectives import L0LeastSquares, Objective, SmoothQuadratic
-from descentls.steps import IHTStep
+from descentls.steps import IHTStep, ProxGradientStep
 
 
 @pytest.fixture
@@ -62,26 +67,46 @@ def test_support_examples(identity_problem):
 
 def test_residual_l0_examples(identity_problem):
     p = identity_problem
-    assert p.residual(np.array([1.5, 0.0])) == 1.5
-    assert p.residual(np.zeros(2)) == 0.0
+    assert residual_at(p, np.array([1.5, 0.0])) == 1.5
+    assert residual_at(p, np.zeros(2)) == 0.0
     # (3, 0) is a critical point: the supported gradient component vanishes.
-    assert p.residual(np.array([3.0, 0.0])) == 0.0
+    assert residual_at(p, np.array([3.0, 0.0])) == 0.0
 
 
 def test_residual_smooth_examples(identity_problem):
     q = identity_problem.quad
-    assert q.residual(np.array([3.0, 0.5])) == 0.0
-    assert q.residual(np.zeros(2)) == pytest.approx(np.sqrt(9.25), rel=1e-15)
+    assert residual_at(q, np.array([3.0, 0.5])) == 0.0
+    assert residual_at(q, np.zeros(2)) == pytest.approx(np.sqrt(9.25), rel=1e-15)
     q2 = SmoothQuadratic.from_data(np.diag([2.0, 1.0]), np.zeros(2))
-    assert q2.residual(np.array([1.0, 0.0])) == 4.0
+    assert residual_at(q2, np.array([1.0, 0.0])) == 4.0
 
 
 def test_objective_protocol(identity_problem):
     methods = {name for name, v in vars(Objective).items() if callable(v) and not name.startswith("_")}
     assert set(Objective.__annotations__) == {"lipschitz"}
-    assert methods == {"value", "residual", "residual_from_grad", "grad", "prox", "nu", "support_mask"}
+    assert methods == {"value", "residual_from_grad", "grad", "prox", "nu", "support_mask"}
     for obj in (identity_problem, identity_problem.quad):
         assert all(hasattr(obj, name) for name in Objective.__annotations__.keys() | methods)
+    # The protocol names only what the program calls.  Record each call into
+    # objectives.py while a step is made, both variants run and their traces
+    # are checked, on the l0 objective (whose `lipschitz` is a property) and
+    # the smooth one.  co_name, not co_qualname, which Python 3.10 lacks.
+    called = set()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == objectives.__file__:
+            called.add(frame.f_code.co_name)
+
+    params, stop = LineSearchParams(), StopCriteria()
+    sys.setprofile(hook)
+    try:
+        for obj in (identity_problem, identity_problem.quad):
+            step = ProxGradientStep.default(obj)
+            for variant in (params, None):
+                run_diagnostics(run(np.zeros(2), step, variant, stop), step, params, stop)
+    finally:
+        sys.setprofile(None)
+    assert Objective.__annotations__.keys() | methods <= called
 
 
 def test_lam_must_be_positive(identity_problem):
@@ -126,7 +151,7 @@ def test_l0_residual_below_smooth_residual():
     for _ in range(20):
         x = rng.standard_normal(10)
         x[rng.integers(0, 10, size=3)] = 0.0
-        assert p.residual(x) <= p.quad.residual(x) + 1e-12
+        assert residual_at(p, x) <= residual_at(p.quad, x) + 1e-12
 
 
 def test_iht_fixed_points_have_zero_residual():
@@ -136,12 +161,12 @@ def test_iht_fixed_points_have_zero_residual():
     step = IHTStep.default(p)
     x = np.zeros(32)
     for _ in range(20_000):
-        x_next = step.apply(x)
+        x_next = base_step(step, x)
         if np.array_equal(x_next, x):
             break
         x = x_next
-    assert np.array_equal(step.apply(x), x)
-    assert p.residual(x) <= 1e-12
+    assert np.array_equal(base_step(step, x), x)
+    assert residual_at(p, x) <= 1e-12
 
 
 @pytest.mark.parametrize("zero_tol", [0.0, 1e-3])
@@ -220,6 +245,8 @@ def test_memo_is_keyed_on_dtype_and_shape_not_bytes_alone():
     # An int64 view and an (n, 1) reshape have the bytes of the float64 x; a
     # memo keyed on bytes alone would serve them its float64 product.  The
     # column is no vector: it must raise, not broadcast A x - b to (m, m).
+    # A list has no bytes to key on: it must raise a TypeError, not an
+    # AttributeError from the key.
     a, b, _ = generate_instance(InstanceSpec(8, 16, 2, 0.01, seed=4))
     quad = SmoothQuadratic.from_data(a, b)
     x = np.linspace(-1.0, 1.0, 16)
@@ -230,14 +257,16 @@ def test_memo_is_keyed_on_dtype_and_shape_not_bytes_alone():
     np.testing.assert_array_equal(got, want)
     quad.value(x)
     assert quad.value(x.view(np.int64)) == _fresh(quad).value(x.view(np.int64)) != quad.value(x)
-    column = x.reshape(16, 1)
-    for name in ("value", "grad"):
-        with pytest.raises(DimensionMismatch, match=r"\(16, 1\)"):
-            getattr(_fresh(quad), name)(column)
-        for first in ("value", "grad"):
-            getattr(quad, first)(x)
-            with pytest.raises(DimensionMismatch, match=r"\(16, 1\)"):
-                getattr(quad, name)(column)
+    cases = [(x.reshape(16, 1), DimensionMismatch, r"\(16, 1\)"),
+             (x.tolist(), TypeError, "^x must be a numpy array, got list$")]
+    for bad, error, match in cases:
+        for name in ("value", "grad"):
+            with pytest.raises(error, match=match):
+                getattr(_fresh(quad), name)(bad)
+            for first in ("value", "grad"):
+                getattr(quad, first)(x)
+                with pytest.raises(error, match=match):
+                    getattr(quad, name)(bad)
 
 
 def test_replace_starts_an_empty_memo():

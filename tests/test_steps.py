@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import base_step, residual_at
 from hypothesis import example, given, strategies as st
 
 from descentls.diagnostics import derive_constants
@@ -77,19 +78,19 @@ def test_iht_apply_worked_examples():
     quad = SmoothQuadratic.from_data(np.eye(2), np.array([3.0, 0.5]))
     prob = L0LeastSquares(quad=quad, lam=1.0)
     step = IHTStep(prob=prob, h=2.0)
-    np.testing.assert_array_equal(step.apply(np.zeros(2)), [1.5, 0.0])
-    np.testing.assert_array_equal(step.apply(np.array([1.5, 0.0])), [2.25, 0.0])
-    np.testing.assert_array_equal(step.apply(np.array([3.0, 0.0])), [3.0, 0.0])
+    np.testing.assert_array_equal(base_step(step, np.zeros(2)), [1.5, 0.0])
+    np.testing.assert_array_equal(base_step(step, np.array([1.5, 0.0])), [2.25, 0.0])
+    np.testing.assert_array_equal(base_step(step, np.array([3.0, 0.0])), [3.0, 0.0])
 
 
 def test_gd_apply_examples():
     scalar = SmoothQuadratic.from_data(np.array([[1.0]]), np.array([0.0]))
     gd = ProxGradientStep(prob=scalar, h=2.0)
-    assert gd.apply(np.array([1.0]))[0] == 0.5
-    assert gd.apply(np.array([0.0]))[0] == 0.0
+    assert base_step(gd, np.array([1.0]))[0] == 0.5
+    assert base_step(gd, np.array([0.0]))[0] == 0.0
     quad = SmoothQuadratic.from_data(np.eye(2), np.array([3.0, 0.5]))
     gd2 = ProxGradientStep(prob=quad, h=1.0)
-    np.testing.assert_array_equal(gd2.apply(np.zeros(2)), [3.0, 0.5])
+    np.testing.assert_array_equal(base_step(gd2, np.zeros(2)), [3.0, 0.5])
 
 
 def test_gd_step_size_bound():
@@ -130,7 +131,7 @@ def test_forward_backward_matches_small_gradient_step():
     h = 2.0 * quad.lipschitz
     fb = ProxGradientStep(prob=quad, h=h)
     x = np.array([0.3, -0.7])
-    np.testing.assert_allclose(fb.apply(x), x - (1.0 / h) * quad.grad(x), rtol=1e-15)
+    np.testing.assert_allclose(base_step(fb, x), x - (1.0 / h) * quad.grad(x), rtol=1e-15)
     nu, beta = step_constants(fb)
     # Descent-lemma constant h - L/2, sharper than the l0 constant (h - L)/2.
     assert nu == pytest.approx(h - quad.lipschitz / 2.0)
@@ -145,12 +146,12 @@ def test_decrease_and_relative_error_certificates(seed):
     nu, beta = prob.nu(step.h), step.h + prob.lipschitz
     x = np.zeros(32)
     for _ in range(200):
-        y = step.apply(x)
+        y = base_step(step, x)
         d = y - x
         dn = float(np.linalg.norm(d))
         decrease = prob.value(x) - prob.value(y)
         assert decrease >= nu * dn ** 2 - 1e-9 * max(1.0, abs(prob.value(x)))
-        assert prob.residual(y) <= beta * dn + 1e-9
+        assert residual_at(prob, y) <= beta * dn + 1e-9
         if dn == 0.0:
             break
         x = y
@@ -164,10 +165,10 @@ def test_gd_certificate_holds_on_iterates(h_over_L):
     nu, beta = quad.nu(gd.h), gd.h + quad.lipschitz
     x = np.zeros(8)
     for _ in range(100):
-        y = gd.apply(x)
+        y = base_step(gd, x)
         dn = float(np.linalg.norm(y - x))
         assert quad.value(x) - quad.value(y) >= nu * dn ** 2 - 1e-9 * max(1.0, abs(quad.value(x)))
-        assert quad.residual(y) <= beta * dn + 1e-9
+        assert residual_at(quad, y) <= beta * dn + 1e-9
         x = y
 
 
@@ -175,4 +176,4 @@ def test_apply_is_deterministic():
     prob = make_problem(seed=4)
     step = IHTStep.default(prob)
     x = np.linspace(-1, 1, 32)
-    np.testing.assert_array_equal(step.apply(x), step.apply(x))
+    np.testing.assert_array_equal(base_step(step, x), base_step(step, x))
