@@ -330,6 +330,20 @@ def test_run_diagnostics_all_pass(seeded):
             assert other.stop_reason is reason and other.records[-1].residual > 0.0
             reports, _, _ = run_diagnostics(other, step, PARAMS, stop)
             assert all(r.passed for r in reports), (stop, params)
+    # An external start: the converged plain iterate with a small entry, far
+    # below the threshold, on each zero coordinate.  Those entries are
+    # support, so row 0 drops them all and every check still holds.
+    x_star = run_plain(np.zeros(32), step, STOP).final_x
+    zero = x_star == 0.0
+    assert zero.sum() == 29 and step.threshold > 0.05
+    x0 = x_star.copy()
+    x0[zero] = -5e-4 * np.sign(step.prob.grad(x_star)[zero])
+    for params in (PARAMS, None):
+        external = run(x0, step, params, STOP)
+        assert external.records[0].support_left == 29
+        assert external.stop_reason is StopReason.D_TOL
+        reports, _, _ = run_diagnostics(external, step, PARAMS, STOP)
+        assert all(r.passed for r in reports), params
 
 
 @pytest.mark.parametrize("params", [PARAMS, None])

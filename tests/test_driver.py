@@ -409,7 +409,7 @@ def test_validate_records():
         validate_records(bad, PARAMS)
 
 
-@pytest.mark.parametrize("zero_tol", [0.0, 1e-3])
+@pytest.mark.parametrize("zero_tol", [0.0])
 @pytest.mark.parametrize("params", [PARAMS, None])
 def test_record_fields_are_python_scalars(params, zero_tol):
     # Counts are int and values float, never numpy scalars, whose reprs differ.

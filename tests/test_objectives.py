@@ -57,10 +57,11 @@ def test_support_examples(identity_problem):
     odd = np.array([-0.0, np.nan])
     np.testing.assert_array_equal(p.support_mask(odd), [False, True])
     assert np.count_nonzero(p.support_mask(odd)) == np.count_nonzero(odd) == 1
-    tolerant = L0LeastSquares(quad=p.quad, lam=1.0, zero_tol=0.1)
-    np.testing.assert_array_equal(tolerant.support_mask(np.array([0.05, 2.0])), [False, True])
     assert p.quad.support_mask(np.array([1.5, 0.0])) is None
-    for bad in (-1.0, np.nan, np.inf):
+    # The support is the exact nonzeros; zero_tol admits only zero.
+    for zero in (0.0, -0.0):
+        L0LeastSquares(quad=p.quad, lam=1.0, zero_tol=zero)
+    for bad in (1e-3, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="zero_tol"):
             L0LeastSquares(quad=p.quad, lam=1.0, zero_tol=bad)
 
@@ -169,10 +170,10 @@ def test_iht_fixed_points_have_zero_residual():
     assert residual_at(p, x) <= 1e-12
 
 
-@pytest.mark.parametrize("zero_tol", [0.0, 1e-3])
+@pytest.mark.parametrize("zero_tol", [0.0])
 def test_l0_value_is_the_mask_formula_as_a_python_float(zero_tol):
-    # value counts nonzeros directly at zero_tol == 0 and through the mask
-    # otherwise; both give the bits of the mask formula, as a Python float.
+    # value counts nonzeros directly, with the bits of the mask formula, as
+    # a Python float.
     a, b, _ = generate_instance(InstanceSpec(4, 8, 2, 0.01, seed=3))
     quad = SmoothQuadratic.from_data(a, b)
     p = L0LeastSquares(quad=quad, lam=0.01, zero_tol=zero_tol)
@@ -181,10 +182,10 @@ def test_l0_value_is_the_mask_formula_as_a_python_float(zero_tol):
     for v in (x, -x, x[::-1].copy(), np.zeros(8), np.full(8, -0.0)):
         value = p.value(v)
         assert type(value) is float
-        expected = quad.value(v) + p.lam * int(np.count_nonzero(np.abs(v) > zero_tol))
+        expected = quad.value(v) + p.lam * int(np.count_nonzero(p.support_mask(v)))
         assert value.hex() == expected.hex()
     counted = round((p.value(x) - quad.value(x)) / p.lam)
-    assert counted == (6 if zero_tol == 0.0 else 2)
+    assert counted == 6
 
 
 def _fresh(quad):
