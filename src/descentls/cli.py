@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass
 from operator import attrgetter
@@ -38,6 +37,8 @@ from .objectives import L0LeastSquares, SmoothQuadratic
 from .steps import DEFAULT_H_FACTOR, ProxGradientStep
 
 DEFAULT_SPEC = InstanceSpec(rows=32, cols=64, sparsity=4, noise_sigma=0.01, seed=42)
+# compare.json counts each variant's iterations to this step length ||d||.
+COMPARE_TOL = 1e-6
 
 
 def _add_generator_flags(p: argparse.ArgumentParser) -> None:
@@ -84,9 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rhs", type=Path, help="CSV file with the data vector b")
         _add_generator_flags(p)
         _add_solver_flags(p)
-        if name == "compare":
-            p.add_argument("--compare-tol", type=float, default=1e-6,
-                           help="step-length tolerance for iterations-to-tolerance counts")
         if name == "verify":
             p.add_argument("--trace", type=Path, required=True)
     return parser
@@ -177,8 +175,6 @@ def cmd_run(args, plain: bool = False) -> int:
 
 
 def cmd_compare(args) -> int:
-    if not (args.compare_tol >= 0 and math.isfinite(args.compare_tol)):
-        raise ValueError("--compare-tol must be nonnegative and finite")
     problem = _build_problem(args)
     args.out.mkdir(parents=True, exist_ok=True)
     plain_trace = run(problem.x0, problem.step, None, problem.stop)
@@ -186,8 +182,8 @@ def cmd_compare(args) -> int:
     write_trace(plain_trace, args.out / "plain_trace.csv")
     write_trace(ls_trace, args.out / "search_trace.csv")
     summary = {
-        "plain_iters": iterations_to_tolerance(plain_trace, args.compare_tol),
-        "ls_iters": iterations_to_tolerance(ls_trace, args.compare_tol),
+        "plain_iters": iterations_to_tolerance(plain_trace, COMPARE_TOL),
+        "ls_iters": iterations_to_tolerance(ls_trace, COMPARE_TOL),
         "plain_final_phi": plain_trace.final_phi,
         "ls_final_phi": ls_trace.final_phi,
         "seed": args.seed if args.matrix is None else None,

@@ -7,8 +7,10 @@ g = grad f(x), d = y - x, then searches for the smallest m in {0..cap} with
 
 and extrapolates x_next = x + (eta_m + 1) d.  A failed search (no feasible
 m up to the cap) sets eta = 0, so x_next = y and the run continues: failure
-is a valid outcome, not termination.  Without search parameters the same
-loop iterates the bare base step (x_next = y) for comparison.
+is a valid outcome, not termination.  A zero direction d = 0 is the
+search's m = 0 outcome, whose trial is y itself, and costs no trial.
+Without search parameters the same loop iterates the bare base step
+(x_next = y) for comparison.
 
 The gradient of x_next, which the row's residual needs, is kept for the
 next iteration's base step, so each iteration evaluates the gradient once.
@@ -122,19 +124,23 @@ def armijo_search(
     """Smallest m in {0..cap} satisfying the Armijo condition at y along d,
     given phi_y = Phi(y) and d_sq = d.d.
 
-    Returns (m, eta**m), or (ARMIJO_FAILED, 0.0) when no m up to the cap
-    works.  At most cap + 1 objective evaluations.  The comparison is exact
+    Returns (m, eta**m) after m + 1 objective evaluations, or
+    (ARMIJO_FAILED, 0.0) after cap + 1 when no m up to the cap works, or
+    (0, 1.0) with no evaluation when d is exactly zero: the m = 0 trial is
+    then y itself and the test holds with equality.  The comparison is exact
     floating point, no slack.  A nonzero d whose accepted trial point
     equals y (t * d vanished against y, as it does for every larger m too)
     is a failure: the test then held only because nothing moved.
     """
     if y.shape != d.shape:
         raise ValueError("y and d must have the same length")
+    if d_sq == 0.0 and not d.any():
+        return 0, 1.0
     for m in range(params.cap + 1):
         t = params.eta ** m
         trial = y + t * d
         if obj.value(trial) <= phi_y - params.alpha * t * d_sq:
-            if (trial == y).all() and d.any():
+            if (trial == y).all():
                 return ARMIJO_FAILED, 0.0
             return m, t
     return ARMIJO_FAILED, 0.0
@@ -178,12 +184,6 @@ def run(
             if params is None:
                 m_k = eta_k = None
                 x = y
-            elif d_norm == 0.0:
-                # Armijo holds with equality at m = 0, whose trial is y itself, so a
-                # search would stop after one evaluation.  The branch stays because
-                # perfbench's `search_counts` counts no trial on a d_norm == 0 row:
-                # its objective-call gate fails if this row evaluates one.
-                m_k, eta_k = 0, 1.0
             else:
                 m_k, eta_k = armijo_search(obj, y, d, params, phi_y=phi_y, d_sq=d_sq)
                 x = x + (eta_k + 1.0) * d

@@ -214,10 +214,6 @@ def test_usage_errors(tmp_path, capsys, micro_files):
         capsys.readouterr()
         assert main(["run", "--seed", "1", flag, value, "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
-    for value in ("nan", "-1"):
-        capsys.readouterr()
-        assert main(["compare", "--seed", "1", "--compare-tol", value, "--out", str(out)]) == 2
-        assert "error: --compare-tol must be nonnegative and finite" in capsys.readouterr().err
     capsys.readouterr()
     assert main(["gen", "--seed", "1", "--noise", "nan", "--out", str(out)]) == 2
     assert "error: noise_sigma must be nonnegative and finite" in capsys.readouterr().err
@@ -237,12 +233,14 @@ def test_usage_errors(tmp_path, capsys, micro_files):
     ["run", "--zero-tol", "nan"],
     ["run", "--residual-tol", "1e-3"],
     ["run", "--bound-guard", "1e12"],
+    ["compare", "--compare-tol", "1e-6"],
 ], ids=["gen-matrix", "gen-rhs", "run-zero-tol", "run-zero-tol-nan", "run-residual-tol",
-        "run-bound-guard"])
+        "run-bound-guard", "compare-compare-tol"])
 def test_flags_a_command_does_not_take_exit_2(tmp_path, capsys, argv):
     # gen only generates, no command loads an iterate for a support tolerance
-    # to apply to, the only tolerance stop is --d-tol, and no bound on ||x||
-    # stops a run: it ends on --d-tol or --max-iters.
+    # to apply to, the only tolerance stop is --d-tol, no bound on ||x||
+    # stops a run: it ends on --d-tol or --max-iters, and compare counts
+    # iterations to the fixed step length cli.COMPARE_TOL.
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(out)])

@@ -165,6 +165,14 @@ def test_checks_are_sharp_at_their_constant(seeded, params):
     report = check_sufficient_decrease(trace, a_max * (1 + 1e-6), 0.0)
     assert not report.passed and report.at_iteration <= a_row and report.constant_used == a_max * (1 + 1e-6)
 
+    # An index enters the support only on a step at least the threshold long.
+    d_min, d_row = min((r.d_norm, r.k) for r in rows if r.support_entered)
+    assert d_min > step.threshold
+    assert check_support(trace, d_min)[1].passed
+    report = check_support(trace, d_min + 2 * TOL)[1]
+    assert not report.passed and report.at_iteration == d_row
+    assert report.worst_violation == pytest.approx(-TOL, rel=1e-6)
+
     k_stab, _ = check_support(trace, step.threshold)
     b_min, b_row = max(((r.residual - TOL) / r.d_norm, r.k) for r in rows[k_stab:] if r.d_norm > 0)
     assert b_min > 0

@@ -112,6 +112,48 @@ def test_armijo_zero_direction():
     assert (m, eta_k) == (0, 1.0)
 
 
+@pytest.mark.parametrize("smooth", [True, False], ids=["smooth", "l0"])
+def test_armijo_zero_direction_evaluates_nothing(monkeypatch, smooth):
+    # The m = 0 trial of d = 0 is y itself, so the search accepts it unevaluated.
+    obj = SmoothQuadratic.from_data(np.eye(2), np.array([3.0, 0.5]))
+    if not smooth:
+        obj = L0LeastSquares(quad=obj, lam=1.0)
+    y = np.array([2.25, 0.0])
+    phi_y = obj.value(y)
+    calls = []
+    monkeypatch.setattr(type(obj), "value", lambda self, x: calls.append(x))
+    for d in (np.zeros(2), np.array([0.0, -0.0])):
+        assert armijo_search(obj, y, d, PARAMS, phi_y, 0.0) == (0, 1.0)
+    assert calls == []
+
+
+def test_search_row_whose_d_sq_underflows_moves_to_its_record(monkeypatch):
+    # Gradient descent with h = L = 1 on f(x) = x^2/2 from x0 = 2^-540: y = 0
+    # and d = -x0, whose square underflows to 0, as do f(-x0) and the Armijo
+    # margin.  The m = 0 trial -x0 differs from y, so the search accepts it
+    # and x moves to x0 + 2d = -x0, as the record (0, 1.0) says.
+    quad = SmoothQuadratic.from_data(np.array([[1.0]]), np.array([0.0]), lipschitz=1.0)
+    x0 = np.array([2.0 ** -540])
+    calls = []
+    value = SmoothQuadratic.value
+    monkeypatch.setattr(SmoothQuadratic, "value", lambda self, x: calls.append(x) or value(self, x))
+    x_next, record = one_iteration(x0, ProxGradientStep(prob=quad, h=1.0), PARAMS)
+    assert (record.d_norm, record.m_k, record.eta_k) == (0.0, 0, 1.0)
+    assert x_next.tobytes() == (-x0).tobytes()
+    assert len(calls) == 4  # phi_x, phi_y, the one trial and final_phi
+
+
+def test_search_and_plain_agree_on_a_fixed_point_holding_minus_zero():
+    # d = 0 - (-0.0) = +0.0, so the search's x + 2d writes +0.0 where the
+    # plain run writes y's +0.0; -0.0 is not support, so the records agree.
+    step = micro_step()
+    x0 = np.array([3.0, -0.0])
+    (x_search, searched), (x_plain, plain) = (one_iteration(x0, step, p) for p in (PARAMS, None))
+    assert x_search.tobytes() == x_plain.tobytes() == np.array([3.0, 0.0]).tobytes()
+    assert (searched.m_k, searched.eta_k) == (0, 1.0)
+    assert replace(searched, m_k=None, eta_k=None) == plain
+
+
 def test_armijo_fails_when_trial_point_equals_y():
     # t * d is below half an ulp of y, so y + t*d == y for every m: Phi does
     # not move and the test holds with equality once alpha*t*||d||^2 underflows.
