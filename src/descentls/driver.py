@@ -23,6 +23,9 @@ each.  With the search an iteration makes 1 with A.T and at most
 run then makes at most 2 * iters + trials + 1 products with A and
 iters + 1 with A.T.  The objective's `value` and `grad` are called
 2 * iters + trials + 1 and iters + 1 times, whatever the memo serves.
+Where the objective's support-column rule holds, a product with A reads
+only the |S| columns of its point's support, and each trial's support lies
+in supp(x) | supp(y); every product with A.T reads all of A.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 # Multiplicative margin on ||A||^2 so that step-size conditions of the
-# form h > ||A||^2 survive eigensolver rounding.
+# form h > ||A||^2 survive rounding; `spectral_norm_sq` derives it.
 SPECTRAL_SAFETY = 1.001
 
 
@@ -90,12 +90,20 @@ def transpose_matvec(a: np.ndarray, r: np.ndarray) -> np.ndarray:
 def spectral_norm_sq(a: np.ndarray) -> float:
     """Return ||A||_2^2 = lambda_max(A.T A), inflated by SPECTRAL_SAFETY.
 
-    Exact: the largest eigenvalue of the smaller Gram matrix, A A.T when
+    Exact: the largest eigenvalue of the smaller Gram matrix G, A A.T when
     m <= n and A.T A otherwise, which share their nonzero eigenvalues.
-    The safety factor absorbs eigensolver rounding, so the strict step-size
-    condition h > ||A||^2 holds against the true value.  Costs O(k^3) time
-    and k^2 memory for k = min(m, n).  A zero matrix yields 0.0, and a
+    The safety factor absorbs rounding, so the strict step-size condition
+    h > ||A||^2 holds against the true value.  Costs O(k^3) time and k^2
+    memory for k = min(m, n).  A zero matrix yields 0.0, and a
     matrix whose Gram matrix or estimate overflows raises ValueError.
+
+    1.001 covers rounding: with u = 2^-53 and l = max(m, n), forming G
+    errs by at most about l*k*u relative to ||A||^2 (|dG| <= l*u |A||A|^T,
+    and || |A| ||^2 <= ||A||_F^2 <= k ||A||^2), and the symmetric
+    eigensolver by order k*u (Golub & Van Loan, Matrix Computations,
+    ch. 8): about 2e-10 and 1e-13 at 1024x2048.  Their sum reaches 1e-3
+    only when A has some 9e12 entries (72 TB), so a runtime check could
+    not fail.
     """
     a = as_matrix(a)
     with np.errstate(over="ignore", invalid="ignore"):

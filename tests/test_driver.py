@@ -335,6 +335,45 @@ def test_products_per_run_follow_the_cost_model(monkeypatch, spec):
         assert fresh.final_x.tobytes() == trace.final_x.tobytes() and fresh.final_phi == trace.final_phi
 
 
+def test_products_at_a_gathered_size_follow_the_cost_model(monkeypatch):
+    # 256x2048 passes the support-column rule, so a miss multiplies only the
+    # nonzero columns of x: a product reads fewer columns but still counts
+    # as one.  Traces move at the rounding level, so each variant is held to
+    # a run that multiplies every column on every call.
+    spec = InstanceSpec(256, 2048, 4, 0.01, seed=1)
+    a, b, _ = generate_instance(spec)
+    step = ProxGradientStep.default(L0LeastSquares(quad=SmoothQuadratic.from_data(a, b), lam=0.01))
+    params = LineSearchParams()
+    counts = {}
+
+    def counting(name, fn):
+        def wrapped(m, v):
+            counts[name] += 1
+            counts["gathered"] += m.shape[1] < spec.cols
+            return fn(m, v)
+        return wrapped
+
+    for variant in (None, params):
+        with monkeypatch.context() as m:
+            m.setattr(objectives, "matvec", counting("A", objectives.matvec))
+            m.setattr(objectives, "transpose_matvec", counting("AT", objectives.transpose_matvec))
+            counts.update(A=0, AT=0, gathered=0)
+            trace = run(np.zeros(spec.cols), step, variant, StopCriteria())
+        iters = len(trace.records)
+        assert counts["AT"] == iters + 1 and counts["gathered"] == counts["A"]
+        if variant is None:
+            assert counts["A"] == iters + 1
+        else:
+            trials = sum(params.cap + 1 if r.m_k == ARMIJO_FAILED else r.m_k + 1
+                         for r in trace.records if r.d_norm > 0.0)
+            assert counts["A"] <= 2 * iters + trials + 1
+        with monkeypatch.context() as m:
+            m.setattr(SmoothQuadratic, "_entry", _fresh_entry)
+            full = run(np.zeros(spec.cols), step, variant, StopCriteria())
+        assert trace.stop_reason is full.stop_reason is StopReason.D_TOL
+        assert trace.final_phi == pytest.approx(full.final_phi, rel=1e-9, abs=0.0)
+
+
 @pytest.mark.parametrize("variant", [None, PARAMS], ids=["plain", "search"])
 @pytest.mark.parametrize("smooth", [False, True], ids=["l0", "smooth"])
 @pytest.mark.parametrize("spec", [InstanceSpec(32, 64, 4, 0.01, seed) for seed in (1, 9, 42)]

@@ -9,7 +9,7 @@ from descentls import objectives
 from descentls.diagnostics import run_diagnostics
 from descentls.driver import LineSearchParams, StopCriteria, run
 from descentls.instances import InstanceSpec, generate_instance
-from descentls.linalg import DimensionMismatch
+from descentls.linalg import DimensionMismatch, matvec
 from descentls.objectives import L0LeastSquares, Objective, SmoothQuadratic
 from descentls.steps import IHTStep, ProxGradientStep
 
@@ -279,3 +279,72 @@ def test_replace_starts_an_empty_memo():
     assert doubled.value(x) == _fresh(doubled).value(x) != quad.value(x)
     np.testing.assert_array_equal(doubled.grad(x), _fresh(doubled).grad(x))
     assert quad == _fresh(quad) and "memo" not in repr(quad)
+
+
+def _support_formula(quad, name, x):
+    """`value` or `grad` from the support columns alone: with nz the nonzeros
+    of x and e = A[:, nz] x[nz] - b, f = e.e / 2 and the gradient A.T e.
+
+    The gathered columns are copied to C order, the layout `take` gives:
+    `A[:, nz]` is F-ordered, and its product runs another BLAS kernel,
+    which rounds differently."""
+    nz = np.flatnonzero(x)
+    e = np.ascontiguousarray(quad.A[:, nz]).dot(x[nz]) - quad.b
+    if name == "value":
+        return 0.5 * float(e.dot(e))
+    return quad.A.T.dot(e)
+
+
+def _columns_per_product(monkeypatch):
+    """Record the column count of each product with A that objectives makes."""
+    columns = []
+
+    def counted(a, x):
+        columns.append(a.shape[1])
+        return matvec(a, x)
+    monkeypatch.setattr(objectives, "matvec", counted)
+    return columns
+
+
+def test_rule_gathers_exactly_where_it_holds(monkeypatch):
+    # A 256x2048 A has GATHER_MIN_ENTRIES entries, so a miss gathers while
+    # 10 |S| <= 2048; one row fewer and every product is full.
+    a, b, _ = generate_instance(InstanceSpec(256, 2048, 8, 0.01, seed=4))
+    assert a.size == objectives.GATHER_MIN_ENTRIES and objectives.GATHER_COLS_PER_NONZERO == 10
+    columns = _columns_per_product(monkeypatch)
+    for rows, support, expected in [(256, 204, 204), (256, 205, 2048), (256, 0, 0), (255, 1, 2048)]:
+        x = np.zeros(2048)
+        x[:2 * support:2] = 1.0
+        SmoothQuadratic.from_data(a[:rows], b[:rows]).value(x)
+        assert columns.pop() == expected
+
+
+@pytest.mark.parametrize("second", ["value", "grad"])
+@pytest.mark.parametrize("first", ["value", "grad"])
+def test_support_columns_keep_the_bits_of_the_support_formula(monkeypatch, first, second):
+    # Above the rule a miss multiplies only the nonzero columns of x.  Fresh
+    # and from the memo, value and grad must have the bits of the support
+    # formula: where x holds -0.0 (not support), at x = 0 (e = -b exactly),
+    # with a NaN entry (support, so f is NaN) and on an int64 view, whose
+    # nonzero integers are its support.
+    a, b, _ = generate_instance(InstanceSpec(256, 2048, 8, 0.01, seed=4))
+    quad = SmoothQuadratic.from_data(a, b)
+    signed = np.full(2048, -0.0)
+    signed[[2, 700, 2047]] = [1.5, -0.25, 3.0]
+    nan = np.zeros(2048)
+    nan[[5, 9]] = [np.nan, 2.0]
+    columns = _columns_per_product(monkeypatch)
+    for x, support in [(signed, 3), (-signed, 3), (np.zeros(2048), 0), (nan, 2),
+                       (np.abs(signed).view(np.int64), 3)]:
+        got = [getattr(quad, name)(x) for name in (first, second)]
+        fresh = [getattr(_fresh(quad), name)(x) for name in (first, second)]
+        reference = [_support_formula(quad, name, x) for name in (first, second)]
+        assert [_bits(r) for r in got] == [_bits(r) for r in fresh] == [_bits(r) for r in reference]
+        assert columns[-2:] == [support, support]
+    assert np.isnan(quad.value(nan))
+    np.testing.assert_array_equal(quad._entry(np.zeros(2048))[1], -b)
+    with pytest.raises(TypeError, match="^x must be a numpy array, got list$"):
+        quad.value(signed.tolist())
+    for n in (2047, 2049):  # a support that fits A must not hide a wrong length
+        with pytest.raises(DimensionMismatch, match=f"2048 columns, vector has length {n}"):
+            quad.value(np.zeros(n))
