@@ -10,7 +10,7 @@ above 1.  Where b_k * ||d|| is far below 1e-9, the residual-bound check
 fails only a residual above about 1e-9: on the seed-42 instance with A
 scaled by 2^-43 (and d_tol by 2^43), row 105 of the plain run has
 b_k * ||d|| = 3.5e-15, and its residual times 1000 still passes.  ROADMAP
-item 8 derives a slack in the units of what each check pads.
+item 9 derives a slack in the units of what each check pads.
 
 The decrease and residual constants are per row.  Row k extrapolates by
 t_k: its accepted eta_k, and 0 on a failed search and on a plain row.  It
@@ -209,8 +209,8 @@ def run_diagnostics(
     k_stab: Optional[int] = None
     k_start = 0
     if step.prob.support_mask(trace.final_x) is not None:
-        # An objective with a support is the l0 one, where the step has a hard-threshold level.
-        k_stab, support_report = check_support(trace, step.threshold)
+        # An objective with a support is the l0 one, which states its hard-threshold level.
+        k_stab, support_report = check_support(trace, step.prob.threshold(step.h))
         reports.append(support_report)
         k_start = k_stab if k_stab is not None else len(trace.records)
     reports.append(check_residual_bound(trace, consts.beta, consts.lipschitz, k_start=k_start))

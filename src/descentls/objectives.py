@@ -45,7 +45,8 @@ class Objective(Protocol):
     states what a solver iteration costs.
 
     An objective has a support exactly when `support_mask` returns a mask,
-    not None; the solve loop and the diagnostics both ask it.
+    not None; the solve loop and the diagnostics both ask it.  Such an
+    objective also states the hard-threshold level `threshold(h)` of its prox.
     """
 
     lipschitz: float
@@ -67,21 +68,6 @@ class Objective(Protocol):
     def support_mask(self, x: np.ndarray) -> Optional[np.ndarray]:
         """Boolean mask of the support of x; None when the objective is smooth."""
         ...
-
-
-def hard_threshold(t, lam: float, h: float):
-    """Keep t where |t| >= sqrt(2*lam/h), zero it otherwise.
-
-    This is the prox of (lam/h) * (number of nonzeros).  The boundary is
-    kept, and zeroed entries are +0.0.  Works elementwise: a float64 array
-    gives a float64 array of its shape, and a Python float gives a 0-d
-    float64 array, which compares equal to the float it stands for.
-    """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    if not h > 0:
-        raise ValueError("h must be positive")
-    return np.where(np.abs(t) >= math.sqrt(2.0 * lam / h), t, 0.0)
 
 
 @dataclass(frozen=True)
@@ -199,8 +185,21 @@ class L0LeastSquares:
     def grad(self, x: np.ndarray) -> np.ndarray:
         return self.quad.grad(x)
 
+    def threshold(self, h: float) -> float:
+        """The hard-threshold level sqrt(2*lam/h) of the prox with parameter h > 0."""
+        if not h > 0:
+            raise ValueError(f"h = {h} must be positive")
+        return math.sqrt(2.0 * self.lam / h)
+
     def prox(self, z: np.ndarray, h: float) -> np.ndarray:
-        return hard_threshold(z, self.lam, h)
+        """Keep z where |z| >= threshold(h), zero it otherwise.
+
+        This is the prox of (lam/h) * (number of nonzeros).  The boundary is
+        kept, and zeroed entries are +0.0.  Works elementwise: a float64 array
+        gives a float64 array of its shape, and a Python float gives a 0-d
+        float64 array, which compares equal to the float it stands for.
+        """
+        return np.where(np.abs(z) >= self.threshold(h), z, 0.0)
 
     def nu(self, h: float) -> float:
         """(h - L)/2, the forward-backward constant for a nonconvex prox; admits h > L."""

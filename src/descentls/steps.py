@@ -17,7 +17,7 @@ import numpy as np
 
 from .objectives import Objective
 
-# Default margin for the strict step-size condition h > ||A||^2.
+# Default h / L: a 1% margin over h = L, where the l0 nu(h) turns positive.
 DEFAULT_H_FACTOR = 1.01
 
 
@@ -27,9 +27,10 @@ class ProxGradientStep:
 
     The objective supplies grad and prox.  On a `SmoothQuadratic` the prox
     is the identity, which makes this gradient descent with step 1/h; on
-    `L0LeastSquares` it is hard thresholding at sqrt(2*lam/h), which makes
-    this iterative hard thresholding (IHT).  An h is admissible exactly
-    when the objective's decrease constant nu(h) is positive.
+    `L0LeastSquares` it is hard thresholding at the objective's
+    `threshold(h)`, which makes this iterative hard thresholding (IHT).  An
+    h is admissible exactly when the objective's decrease constant nu(h) is
+    positive; `default` takes h = h_factor * L under that same rule.
     """
 
     prob: Objective
@@ -44,14 +45,7 @@ class ProxGradientStep:
 
     @classmethod
     def default(cls, prob: Objective, h_factor: float = DEFAULT_H_FACTOR) -> "ProxGradientStep":
-        if not h_factor > 1:
-            raise ValueError("h_factor must be > 1")
         return cls(prob=prob, h=h_factor * prob.lipschitz)
-
-    @property
-    def threshold(self) -> float:
-        """Hard-threshold level sqrt(2*lam/h); defined for l0 objectives only."""
-        return math.sqrt(2.0 * self.prob.lam / self.h)
 
     def apply_grad(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The step from x given g = grad f(x); no product with A."""

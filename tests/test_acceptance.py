@@ -27,7 +27,7 @@ from descentls.driver import (
 )
 from descentls.instances import InstanceSpec, generate_instance
 from descentls.linalg import save_matrix, save_vector
-from descentls.objectives import L0LeastSquares, SmoothQuadratic, hard_threshold
+from descentls.objectives import L0LeastSquares, SmoothQuadratic
 from descentls.steps import IHTStep
 
 PARAMS = LineSearchParams(alpha=0.1, eta=0.5, cap=20)
@@ -103,7 +103,7 @@ def test_criterion_3_residual_bound_after_stabilization(seeded_runs):
         beta = derive_constants(step).beta
         assert beta == step.h + L
         for trace in (ls, plain):
-            k_stab, sup = check_support(trace, step.threshold)
+            k_stab, sup = check_support(trace, step.prob.threshold(step.h))
             if k_stab is None:
                 ok = False
                 continue
@@ -194,15 +194,16 @@ def test_criterion_6_line_search_efficiency(seeded_runs, tmp_path):
 
 def test_criterion_7_hard_threshold_properties():
     rng = np.random.default_rng(7)
-    lam, h = 1.0, 2.0
-    thresh = np.sqrt(2.0 * lam / h)
+    h = 2.0
+    prob = L0LeastSquares(quad=SmoothQuadratic(A=np.eye(1), b=np.zeros(1), lipschitz=1.0), lam=1.0)
+    thresh = prob.threshold(h)
     t = rng.uniform(-3, 3, size=100_000)
-    ht = hard_threshold(t, lam, h)
+    ht = prob.prox(t, h)
     ok = (
-        np.array_equal(hard_threshold(-t, lam, h), -ht)
-        and np.array_equal(hard_threshold(ht, lam, h), ht)
-        and hard_threshold(thresh, lam, h) == thresh
-        and hard_threshold(-thresh, lam, h) == -thresh
+        np.array_equal(prob.prox(-t, h), -ht)
+        and np.array_equal(prob.prox(ht, h), ht)
+        and prob.prox(thresh, h) == thresh
+        and prob.prox(-thresh, h) == -thresh
     )
     assert report("7 hard-threshold odd/idempotent/boundary on 1e5 samples", ok)
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 
 import numpy as np
@@ -196,6 +197,9 @@ def test_run_passes_cauchy_tail_on_correct_runs(tmp_path, capsys, flags, stop, n
     report = json.loads((out / "verify.json").read_text())
     assert report["stop_reason"] == stop
     assert report["cauchy_tail"]["passed"] and report["cauchy_tail"].get("note") == note
+    # The support check's level is the objective's sqrt(2 lam / h), lam = 0.01, h = 1.01 L.
+    level = math.sqrt(2 * 0.01 / (1.01 * report["constants"]["lipschitz"]))
+    assert report["support_stabilization"]["constant_used"] == level
 
 
 def test_usage_errors(tmp_path, capsys, micro_files):
@@ -206,7 +210,7 @@ def test_usage_errors(tmp_path, capsys, micro_files):
     for flag, value, message in [("--alpha", "inf", "alpha must be"), ("--d-tol", "nan", "d_tol must be"),
                                  ("--d-tol", "inf", "d_tol must be"),
                                  ("--h-factor", "inf", "h = inf must be finite"),
-                                 ("--h-factor", "nan", "h_factor must be > 1"),
+                                 ("--h-factor", "nan", "h = nan must be finite"),
                                  ("--lambda", "0", "lam must be positive and finite"),
                                  ("--lambda", "nan", "lam must be positive and finite"),
                                  ("--noise", "nan", "noise_sigma must be nonnegative and finite"),

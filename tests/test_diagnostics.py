@@ -128,7 +128,7 @@ def test_residual_bound_names_its_least_slack_row(seeded, params):
     step, _ = seeded
     trace = run(np.zeros(32), step, params, STOP)
     c = derive_constants(step)
-    k_stab, _ = check_support(trace, step.threshold)
+    k_stab, _ = check_support(trace, step.prob.threshold(step.h))
     for k_start in (0, k_stab):
         rows = trace.records[k_start:]
         b = [c.beta + c.lipschitz * extrapolation(r) for r in rows]
@@ -143,7 +143,7 @@ def test_residual_bound_catches_corruption(seeded):
     step, trace = seeded
     corrupted = copy.deepcopy(trace)
     corrupted.records[-1].residual += 1.0
-    k_stab, _ = check_support(trace, step.threshold)
+    k_stab, _ = check_support(trace, step.prob.threshold(step.h))
     c = derive_constants(step)
     report = check_residual_bound(corrupted, c.beta, c.lipschitz, k_start=k_stab)
     assert not report.passed
@@ -167,13 +167,13 @@ def test_checks_are_sharp_at_their_constant(seeded, params):
 
     # An index enters the support only on a step at least the threshold long.
     d_min, d_row = min((r.d_norm, r.k) for r in rows if r.support_entered)
-    assert d_min > step.threshold
+    assert d_min > step.prob.threshold(step.h)
     assert check_support(trace, d_min)[1].passed
     report = check_support(trace, d_min + 2 * TOL)[1]
     assert not report.passed and report.at_iteration == d_row
     assert report.worst_violation == pytest.approx(-TOL, rel=1e-6)
 
-    k_stab, _ = check_support(trace, step.threshold)
+    k_stab, _ = check_support(trace, step.prob.threshold(step.h))
     b_min, b_row = max(((r.residual - TOL) / r.d_norm, r.k) for r in rows[k_stab:] if r.d_norm > 0)
     assert b_min > 0
     assert check_residual_bound(trace, b_min, 0.0, k_start=k_stab).passed
@@ -221,7 +221,7 @@ def test_checks_are_sharp_at_each_rows_constant():
 
 def test_check_support_micro(micro):
     step, trace = micro
-    k_stab, report = check_support(trace, step.threshold)
+    k_stab, report = check_support(trace, step.prob.threshold(step.h))
     assert k_stab == 1
     assert report.passed
 
@@ -229,7 +229,7 @@ def test_check_support_micro(micro):
 def test_check_support_fixed_point(micro):
     step, _ = micro
     trace = run(np.array([3.0, 0.0]), step, PARAMS, STOP)
-    k_stab, report = check_support(trace, step.threshold)
+    k_stab, report = check_support(trace, step.prob.threshold(step.h))
     assert k_stab == 0 and report.passed
 
 
@@ -237,7 +237,7 @@ def test_check_support_truncated(micro):
     step, trace = micro
     truncated = copy.deepcopy(trace)
     truncated.records = truncated.records[:1]
-    k_stab, report = check_support(truncated, step.threshold)
+    k_stab, report = check_support(truncated, step.prob.threshold(step.h))
     assert k_stab is None
     assert not report.passed
 
@@ -343,7 +343,7 @@ def test_run_diagnostics_all_pass(seeded):
     # support, so row 0 drops them all and every check still holds.
     x_star = run_plain(np.zeros(32), step, STOP).final_x
     zero = x_star == 0.0
-    assert zero.sum() == 29 and step.threshold > 0.05
+    assert zero.sum() == 29 and step.prob.threshold(step.h) > 0.05
     x0 = x_star.copy()
     x0[zero] = -5e-4 * np.sign(step.prob.grad(x_star)[zero])
     for params in (PARAMS, None):

@@ -295,15 +295,29 @@ def _fresh_entry(quad, x):
     return [None, e, 0.5 * float(e.dot(e))]
 
 
-@pytest.mark.parametrize("spec", [InstanceSpec(32, 64, 4, 0.01, seed) for seed in (1, 9, 42)]
-                         + [InstanceSpec(256, 512, 32, 0.01, 1)], ids=["32x64-1", "32x64-9", "32x64-42", "256x512-1"])
-def test_products_per_run_follow_the_cost_model(monkeypatch, spec):
-    # Count the products themselves: objectives looks matvec and
-    # transpose_matvec up as module globals at call time.  Then rerun with
-    # the whole memo bypassed, residual and value alike, which must change
-    # no bit of the run.
+def _generated_case(spec):
     a, b, _ = generate_instance(spec)
     step = IHTStep.default(L0LeastSquares(quad=SmoothQuadratic.from_data(a, b), lam=0.01))
+    return step, np.zeros(spec.cols)
+
+
+def _underflow_case():
+    # test_search_row_whose_d_sq_underflows_moves_to_its_record's instance:
+    # d = -x0 is nonzero, d_norm reads 0.0, and the search still tries m = 0.
+    quad = SmoothQuadratic.from_data(np.array([[1.0]]), np.array([0.0]), lipschitz=1.0)
+    return ProxGradientStep(prob=quad, h=1.0), np.array([2.0 ** -540])
+
+
+@pytest.mark.parametrize("spec", [InstanceSpec(32, 64, 4, 0.01, seed) for seed in (1, 9, 42)]
+                         + [InstanceSpec(256, 512, 32, 0.01, 1), None],
+                         ids=["32x64-1", "32x64-9", "32x64-42", "256x512-1", "1x1-underflow"])
+def test_products_per_run_follow_the_cost_model(monkeypatch, spec):
+    # Count the products themselves: objectives looks matvec and
+    # transpose_matvec up as module globals at call time.  The trials are
+    # what the search evaluated: a run calls value 2 * iters + trials + 1
+    # times.  Then rerun with the whole memo bypassed, residual and value
+    # alike, which must change no bit of the run.
+    step, x0 = _underflow_case() if spec is None else _generated_case(spec)
     params = LineSearchParams()
     counts = {}
 
@@ -313,24 +327,29 @@ def test_products_per_run_follow_the_cost_model(monkeypatch, spec):
             return fn(*args)
         return wrapped
 
+    def record_trials(records):
+        return sum(params.cap + 1 if r.m_k == ARMIJO_FAILED else r.m_k + 1 for r in records)
+
     for variant in (None, params):
         with monkeypatch.context() as m:
             m.setattr(objectives, "matvec", counting("A", objectives.matvec))
             m.setattr(objectives, "transpose_matvec", counting("AT", objectives.transpose_matvec))
-            counts.update(A=0, AT=0)
-            trace = run(np.zeros(spec.cols), step, variant, StopCriteria())
+            m.setattr(type(step.prob), "value", counting("value", type(step.prob).value))
+            counts.update(A=0, AT=0, value=0)
+            trace = run(x0, step, variant, StopCriteria())
         iters = len(trace.records)
+        trials = counts["value"] - 2 * iters - 1
         assert counts["AT"] == iters + 1
         if variant is None:
-            assert counts["A"] == iters + 1
+            assert trials == 0 and counts["A"] == iters + 1
         else:
-            trials = sum(params.cap + 1 if r.m_k == ARMIJO_FAILED else r.m_k + 1
-                         for r in trace.records if r.d_norm > 0.0)
+            # Only an exactly zero d skips the search, and its row has d_norm == 0.
+            assert record_trials(r for r in trace.records if r.d_norm > 0.0) <= trials <= record_trials(trace.records)
             assert counts["A"] <= 2 * iters + trials + 1
         with monkeypatch.context() as m:
             # A complete fresh entry per call: no call reuses another's residual or f.
             m.setattr(SmoothQuadratic, "_entry", _fresh_entry)
-            fresh = run(np.zeros(spec.cols), step, variant, StopCriteria())
+            fresh = run(x0, step, variant, StopCriteria())
         assert repr([astuple(r) for r in fresh.records]) == repr([astuple(r) for r in trace.records])
         assert fresh.final_x.tobytes() == trace.final_x.tobytes() and fresh.final_phi == trace.final_phi
 

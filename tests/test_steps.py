@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from descentls.diagnostics import derive_constants
 from descentls.instances import InstanceSpec, generate_instance
-from descentls.objectives import L0LeastSquares, SmoothQuadratic, hard_threshold
+from descentls.objectives import L0LeastSquares, SmoothQuadratic
 from descentls.steps import IHTStep, ProxGradientStep
 
 
@@ -22,23 +22,38 @@ def step_constants(step):
     return consts.nu, consts.beta
 
 
+def l0(lam):
+    """An l0 objective with weight lam, for its prox and threshold; the loss plays no part."""
+    return L0LeastSquares(quad=SmoothQuadratic(A=np.eye(1), b=np.zeros(1), lipschitz=1.0), lam=lam)
+
+
 def test_hard_threshold_examples():
-    assert hard_threshold(0.0, 1.0, 2.0) == 0.0
+    prox = l0(1.0).prox
+    assert prox(0.0, 2.0) == 0.0
     # lam = 1, h = 2: threshold is exactly 1
-    assert hard_threshold(1.5, 1.0, 2.0) == 1.5
-    assert hard_threshold(0.9, 1.0, 2.0) == 0.0
-    assert hard_threshold(-1.0, 1.0, 2.0) == -1.0  # boundary kept
+    assert prox(1.5, 2.0) == 1.5
+    assert prox(0.9, 2.0) == 0.0
+    assert prox(-1.0, 2.0) == -1.0  # boundary kept
 
 
 def test_hard_threshold_validates():
-    with pytest.raises(ValueError):
-        hard_threshold(1.0, 0.0, 2.0)
-    with pytest.raises(ValueError):
-        hard_threshold(1.0, 1.0, -2.0)
+    # lam <= 0 is rejected where the objective is built, h <= 0 by threshold(h).
+    with pytest.raises(ValueError, match="lam must be positive"):
+        l0(0.0)
+    for h in (-2.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match=f"h = {h} must be positive"):
+            l0(1.0).prox(1.0, h)
+
+
+def test_threshold_has_the_bits_of_its_formula():
+    rng = np.random.default_rng(5)
+    for lam, h in zip(rng.uniform(1e-4, 10.0, 200).tolist(), rng.uniform(1e-3, 1e3, 200).tolist()):
+        got = l0(lam).threshold(h)
+        assert type(got) is float and got.hex() == math.sqrt(2 * lam / h).hex()
 
 
 def test_hard_threshold_elementwise():
-    out = hard_threshold(np.array([1.5, 0.25, -1.0]), 1.0, 2.0)
+    out = l0(1.0).prox(np.array([1.5, 0.25, -1.0]), 2.0)
     np.testing.assert_array_equal(out, [1.5, 0.0, -1.0])
 
 
@@ -46,7 +61,7 @@ def test_hard_threshold_keeps_boundary_and_writes_positive_zeros():
     # lam = 1, h = 2: threshold is exactly 1.  A trace's repr tells -0.0
     # from 0.0, so zeroed entries must be +0.0 whatever the sign of t.
     t = np.array([-1.0, 1.0, -0.5, 0.5, -0.0, 0.0, -1e-300, -2.0])
-    out = hard_threshold(t, 1.0, 2.0)
+    out = l0(1.0).prox(t, 2.0)
     assert out.dtype == np.float64
     assert repr(out.tolist()) == repr([-1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -2.0])
 
@@ -62,7 +77,7 @@ def scalar_hard_threshold(t, lam, h):
 @example(-0.5, 1.0, 2.0)
 @example(-0.0, 1.0, 2.0)
 def test_hard_threshold_scalar_matches_reference(t, lam, h):
-    out = hard_threshold(t, lam, h)
+    out = l0(lam).prox(t, h)
     assert out.shape == () and out.dtype == np.float64
     want = scalar_hard_threshold(t, lam, h)
     assert out == want and repr(float(out)) == repr(want)
@@ -70,8 +85,9 @@ def test_hard_threshold_scalar_matches_reference(t, lam, h):
 
 @given(st.floats(-10, 10), st.floats(0.01, 5), st.floats(0.01, 5))
 def test_hard_threshold_odd_and_idempotent(t, lam, h):
-    assert hard_threshold(-t, lam, h) == -hard_threshold(t, lam, h)
-    assert hard_threshold(hard_threshold(t, lam, h), lam, h) == hard_threshold(t, lam, h)
+    prox = l0(lam).prox
+    assert prox(-t, h) == -prox(t, h)
+    assert prox(prox(t, h), h) == prox(t, h)
 
 
 def test_iht_apply_worked_examples():
@@ -120,10 +136,18 @@ def test_iht_rejects_h_at_or_below_lipschitz():
     prob = make_problem()
     with pytest.raises(ValueError):
         IHTStep(prob=prob, h=prob.quad.lipschitz)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"gives nu\(h\) = 0\.0 <= 0"):
         IHTStep.default(prob, h_factor=1.0)
     with pytest.raises(ValueError, match="h = inf must be finite"):
         IHTStep.default(prob, h_factor=math.inf)
+
+
+@pytest.mark.parametrize("h_factor", [0.75, 1.0])
+def test_default_admits_what_nu_admits(h_factor):
+    # nu(h) > 0 is the one rule: a smooth objective admits h > L/2, so
+    # default takes these factors as the constructor takes h_factor * L.
+    quad = SmoothQuadratic.from_data(np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([1.0, 2.0]))
+    assert ProxGradientStep.default(quad, h_factor) == ProxGradientStep(quad, h_factor * quad.lipschitz)
 
 
 def test_forward_backward_matches_small_gradient_step():
