@@ -113,6 +113,9 @@ def _spec(args) -> InstanceSpec:
 def _build_problem(args) -> Problem:
     if (args.matrix is None) != (args.rhs is None):
         raise ValueError("--matrix and --rhs must be given together")
+    # Checked before the costly set-up: the instance and its ||A||^2.
+    params = LineSearchParams(alpha=args.alpha, eta=args.eta, cap=args.cap_m)
+    stop = StopCriteria(max_iters=args.max_iters, d_tol=args.d_tol)
     norm_sq = None
     if args.matrix is not None:
         a, norm_sq = load_matrix(args.matrix)
@@ -122,14 +125,12 @@ def _build_problem(args) -> Problem:
     quad = SmoothQuadratic.from_data(a, b, lipschitz=norm_sq)
     prob = L0LeastSquares(quad=quad, lam=args.lam)
     step = ProxGradientStep.default(prob, h_factor=args.h_factor)
-    params = LineSearchParams(alpha=args.alpha, eta=args.eta, cap=args.cap_m)
-    stop = StopCriteria(max_iters=args.max_iters, d_tol=args.d_tol)
     return Problem(step=step, params=params, stop=stop, x0=np.zeros(a.shape[1]))
 
 
 def _verify_and_report(trace: RunTrace, problem: Problem, out_path: Path) -> bool:
-    reports, consts, k_stab = diagnostics.run_diagnostics(trace, problem.step, problem.params, problem.stop)
-    payload, text = diagnostics.summarize(reports, consts, trace.stop_reason, k_stab)
+    reports, consts, _ = diagnostics.run_diagnostics(trace, problem.step, problem.params, problem.stop)
+    payload, text = diagnostics.summarize(reports, consts, trace.stop_reason)
     diagnostics.write_report(payload, out_path)
     print(text)
     return all(r.passed for r in reports)
@@ -194,10 +195,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    problem = _build_problem(args)
     loaded = read_trace_records(args.trace)
     if not loaded:
-        raise ValueError("trace is empty")
+        raise ValueError(f"{args.trace}: trace is empty")
+    problem = _build_problem(args)
     plain = loaded[0].m_k is None and loaded[0].eta_k is None
     fresh = run(problem.x0, problem.step, None if plain else problem.params, problem.stop)
     args.out.mkdir(parents=True, exist_ok=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 from .driver import IterationRecord, RunTrace, StopCriteria, LineSearchParams, StopReason
@@ -56,21 +56,6 @@ class CheckReport:
         if self.note:
             d["note"] = self.note
         return d
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """The step constants the per-row checks build on, derived by `derive_constants`."""
-
-    lipschitz: float  # L = ||A||^2 with its safety factor
-    nu: float         # nu(h), from the objective
-    beta: float       # h + L
-
-
-def derive_constants(step: ProxGradientStep) -> DerivedConstants:
-    """L, nu(h) and beta = h + L of the given step."""
-    lipschitz = step.prob.lipschitz
-    return DerivedConstants(lipschitz=lipschitz, nu=step.prob.nu(step.h), beta=step.h + lipschitz)
 
 
 def _extrapolation(r: IterationRecord) -> float:
@@ -173,19 +158,12 @@ def check_cauchy(trace: RunTrace, residual_threshold: float) -> CheckReport:
     return CheckReport("cauchy_tail", True, 0.0, None, residual_threshold)
 
 
-def summarize(
-    reports: list[CheckReport],
-    constants: DerivedConstants,
-    stop_reason: StopReason,
-    k_stab: Optional[int],
-) -> tuple[dict, str]:
+def summarize(reports: list[CheckReport], constants: dict, stop_reason: StopReason) -> tuple[dict, str]:
     """Machine-readable dict and human-readable text for a batch of checks."""
     if not reports:
         raise ValueError("no reports to summarize")
     payload: dict = {r.name: r.as_dict() for r in reports}
-    payload["constants"] = asdict(constants)
-    if k_stab is not None:
-        payload["constants"]["k_stab"] = k_stab
+    payload["constants"] = constants
     payload["stop_reason"] = stop_reason.value
     lines = []
     for r in reports:
@@ -202,10 +180,16 @@ def run_diagnostics(
     step: ProxGradientStep,
     params: LineSearchParams,
     stop: StopCriteria,
-) -> tuple[list[CheckReport], DerivedConstants, Optional[int]]:
-    """Run every applicable check for a completed trace of the given step."""
-    consts = derive_constants(step)
-    reports = [check_sufficient_decrease(trace, consts.nu, params.alpha)]
+) -> tuple[list[CheckReport], dict, Optional[int]]:
+    """Run every applicable check for a completed trace of the given step.
+
+    Returns the reports, the constants the checks used (L, nu(h) and
+    beta = h + L, then K_stab when the support settled), and K_stab.
+    """
+    lipschitz = step.prob.lipschitz
+    nu = step.prob.nu(step.h)
+    beta = step.h + lipschitz
+    reports = [check_sufficient_decrease(trace, nu, params.alpha)]
     k_stab: Optional[int] = None
     k_start = 0
     if step.prob.support_mask(trace.final_x) is not None:
@@ -213,13 +197,16 @@ def run_diagnostics(
         k_stab, support_report = check_support(trace, step.prob.threshold(step.h))
         reports.append(support_report)
         k_start = k_stab if k_stab is not None else len(trace.records)
-    reports.append(check_residual_bound(trace, consts.beta, consts.lipschitz, k_start=k_start))
+    reports.append(check_residual_bound(trace, beta, lipschitz, k_start=k_start))
     # Computable consequence of convergence at a d_tol stop: the last row K
     # has d_norm <= d_tol, so residual_bound allows it a residual of at most
     # b_K * d_tol; cauchy_tail allows ten times that.
-    b_last = consts.beta + consts.lipschitz * _extrapolation(trace.records[-1])
+    b_last = beta + lipschitz * _extrapolation(trace.records[-1])
     reports.append(check_cauchy(trace, 10.0 * b_last * max(stop.d_tol, 1e-300)))
-    return reports, consts, k_stab
+    constants = {"lipschitz": lipschitz, "nu": nu, "beta": beta}
+    if k_stab is not None:
+        constants["k_stab"] = k_stab
+    return reports, constants, k_stab
 
 
 def write_report(payload: dict, path) -> None:

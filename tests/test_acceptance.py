@@ -11,11 +11,7 @@ import numpy as np
 import pytest
 
 from descentls.cli import main as cli_main
-from descentls.diagnostics import (
-    check_sufficient_decrease,
-    check_support,
-    derive_constants,
-)
+from descentls.diagnostics import check_sufficient_decrease, check_support
 from descentls.driver import (
     ARMIJO_FAILED,
     LineSearchParams,
@@ -88,9 +84,9 @@ def test_criterion_2_sufficient_decrease(seeded_runs):
     for seed, step, ls, plain in seeded_runs:
         L = step.prob.quad.lipschitz
         for trace in (ls, plain):
-            consts = derive_constants(step)
-            assert consts.nu == (step.h - L) / 2.0
-            rep = check_sufficient_decrease(trace, consts.nu, PARAMS.alpha)
+            nu = step.prob.nu(step.h)
+            assert nu == (step.h - L) / 2.0
+            rep = check_sufficient_decrease(trace, nu, PARAMS.alpha)
             ok = ok and rep.passed
     assert report("2 sufficient decrease, zero violations over 50 seeds", ok)
 
@@ -100,8 +96,7 @@ def test_criterion_3_residual_bound_after_stabilization(seeded_runs):
     for seed, step, ls, plain in seeded_runs:
         L = step.prob.quad.lipschitz
         # Each row is bounded by its own b_k = beta + L * t_k; t_k = 0 on plain rows.
-        beta = derive_constants(step).beta
-        assert beta == step.h + L
+        beta = step.h + L
         for trace in (ls, plain):
             k_stab, sup = check_support(trace, step.prob.threshold(step.h))
             if k_stab is None:
@@ -117,7 +112,7 @@ def test_criterion_3_residual_bound_after_stabilization(seeded_runs):
 def test_criterion_4_sandwich_and_summability(seeded_runs):
     ok = True
     for seed, step, ls, plain in seeded_runs:
-        nu = derive_constants(step).nu
+        nu = step.prob.nu(step.h)
         # sandwich: the update moves by exactly (1 + eta_k) d^k, and the
         # extrapolation factor never exceeds 1 + eta^0 (m = 0 is admissible)
         for r in ls.records:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from conftest import platform_canary, write_v1_twin
 
-from descentls import linalg, objectives
+from descentls import cli, linalg, objectives
 from descentls.cli import DEFAULT_SPEC, build_parser, main
-from descentls.driver import read_trace_records
+from descentls.driver import TRACE_COLUMNS, read_trace_records
 from descentls.instances import generate_instance
 from descentls.linalg import load_matrix, load_vector, save_matrix, save_vector, spectral_norm_sq
 from descentls.objectives import SmoothQuadratic
@@ -230,6 +230,43 @@ def test_usage_errors(tmp_path, capsys, micro_files):
                  "--rhs", str(micro_files / "b.csv"), "--out", str(tmp_path)]) == 2
 
 
+class Generated(Exception):
+    """Raised in place of generating an instance."""
+
+
+def test_flag_and_trace_errors_come_before_the_instance(tmp_path, capsys, monkeypatch, micro_files):
+    # The search and stop flags are checked, and verify's trace is read,
+    # before the instance is generated or read; --lambda and --h-factor
+    # need L, so only they reach the instance.
+    def generate(spec):
+        raise Generated
+    monkeypatch.setattr(cli, "generate_instance", generate)
+    out = tmp_path / "out"
+    flags = [("--alpha", "nan", "alpha must be positive and finite"), ("--eta", "1", "eta must lie in (0, 1)"),
+             ("--cap-m", "-1", "cap must be nonnegative"), ("--max-iters", "0", "max_iters must be at least 1"),
+             ("--d-tol", "nan", "d_tol must be nonnegative and finite")]
+    trace = tmp_path / "trace.csv"
+    trace.write_text(",".join(TRACE_COLUMNS) + "\n")
+    missing = tmp_path / "missing.csv"
+    for flag, value, message in flags:
+        for command in ("run", "run-plain", "compare"):
+            assert main([command, flag, value, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        # Also before a missing matrix file is read.
+        assert main(["run", "--matrix", str(missing), "--rhs", str(micro_files / "b.csv"), flag, value,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        # verify reads its trace before it checks any flag.
+        assert main(["verify", flag, value, "--trace", str(trace), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {trace}: trace is empty\n"
+        assert main(["verify", flag, value, "--trace", str(missing), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    for flag, value in (("--lambda", "nan"), ("--h-factor", "1.0")):
+        with pytest.raises(Generated):
+            main(["run", flag, value, "--out", str(out)])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--matrix", "A.csv"],
     ["gen", "--rhs", "b.csv"],
@@ -305,6 +342,18 @@ def test_compare_micro(tmp_path, micro_files):
     assert summary["ls_iters"] == 1
     assert summary["plain_iters"] == 21
     assert (out / "plain_trace.csv").exists() and (out / "search_trace.csv").exists()
+
+
+def test_compare_counts_null_when_no_row_reaches_the_tolerance(tmp_path, capsys):
+    # One row of seed 42 has ||d|| far above cli.COMPARE_TOL in both variants.
+    out = tmp_path / "cmp"
+    assert main(["compare", "--seed", "42", "--max-iters", "1", "--out", str(out)]) == 0
+    summary = json.loads((out / "compare.json").read_text())
+    assert (summary["plain_iters"], summary["ls_iters"]) == (None, None)
+    assert json.loads(capsys.readouterr().out) == summary
+    for name in ("plain_trace.csv", "search_trace.csv"):
+        (row,) = read_trace_records(out / name)
+        assert row.d_norm > cli.COMPARE_TOL
 
 
 def test_compare_deterministic(tmp_path):
@@ -460,6 +509,28 @@ def test_verify_names_an_unreadable_cell(tmp_path, capsys, column, cell, message
     capsys.readouterr()
     assert main(["verify", "--seed", "9", "--trace", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_verify_names_the_file_of_an_empty_trace(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = tmp_path / "trace.csv"
+    path.write_text(",".join(TRACE_COLUMNS) + "\n")
+    assert main(["verify", "--seed", "9", "--trace", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: trace is empty\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header", [["k", "phi_x"], [*TRACE_COLUMNS[:-1], "support_lost"], None],
+                         ids=["short", "renamed", "no-header"])
+def test_verify_names_the_file_of_a_wrong_header(tmp_path, capsys, header):
+    out = tmp_path / "bad"
+    assert main(["run", "--seed", "9", "--out", str(out)]) == 0
+    path = out / "trace.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("" if header is None else ",".join(header) + "\n" + "".join(lines[1:]))
+    capsys.readouterr()
+    assert main(["verify", "--seed", "9", "--trace", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: unexpected trace header: {header}\n"
 
 
 def test_verify_plain_trace(tmp_path):

@@ -1,5 +1,5 @@
 import copy
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from descentls.diagnostics import (
     check_residual_bound,
     check_sufficient_decrease,
     check_support,
-    derive_constants,
     run_diagnostics,
     summarize,
 )
@@ -50,29 +49,29 @@ def test_derived_constants_relations(micro):
     smooth_step = ProxGradientStep(prob=quad, h=2.0)
     L = quad.lipschitz
     for step in (l0_step, smooth_step):
-        # L, nu and beta come from the step alone; nothing else is trace-wide.
-        c = derive_constants(step)
-        assert [f.name for f in fields(c)] == ["lipschitz", "nu", "beta"]
-        assert (c.lipschitz, c.nu, c.beta) == (L, step.prob.nu(step.h), step.h + L)
+        nu, beta = step.prob.nu(step.h), step.h + L
         for params in (PARAMS, None):
+            trace = run(np.zeros(2), step, params, STOP)
+            # L, nu and beta come from the step alone; nothing else is trace-wide.
+            _, consts, k_stab = run_diagnostics(trace, step, PARAMS, STOP)
+            assert list(consts.items())[:3] == [("lipschitz", L), ("nu", nu), ("beta", beta)]
+            assert consts.get("k_stab") == k_stab and (k_stab is None) == (step is smooth_step)
             # Each check reports the a_k = nu + alpha * t_k or b_k = beta + L * t_k
             # of its least-slack row; a plain row has t_k = 0.
-            trace = run(np.zeros(2), step, params, STOP)
-            decrease = check_sufficient_decrease(trace, c.nu, PARAMS.alpha)
+            decrease = check_sufficient_decrease(trace, nu, PARAMS.alpha)
             t = extrapolation(trace.records[decrease.at_iteration])
-            assert decrease.constant_used == c.nu + PARAMS.alpha * t
-            residual = check_residual_bound(trace, c.beta, L)
-            assert residual.constant_used in {c.beta + L * extrapolation(r) for r in trace.records}
+            assert decrease.constant_used == nu + PARAMS.alpha * t
+            residual = check_residual_bound(trace, beta, L)
+            assert residual.constant_used in {beta + L * extrapolation(r) for r in trace.records}
             if params is None:
-                assert (decrease.constant_used, residual.constant_used) == (c.nu, c.beta)
+                assert (decrease.constant_used, residual.constant_used) == (nu, beta)
     assert l0_step.prob.nu(2.0) == (2.0 - L) / 2.0
     assert smooth_step.prob.nu(2.0) == 2.0 - L / 2.0
 
 
 def test_sufficient_decrease_passes(micro):
     step, trace = micro
-    consts = derive_constants(step)
-    report = check_sufficient_decrease(trace, consts.nu, PARAMS.alpha)
+    report = check_sufficient_decrease(trace, step.prob.nu(step.h), PARAMS.alpha)
     assert report.passed
     # every row has eta_k = 1 on this trace, so a_k = nu + alpha
     assert all(r.eta_k == 1.0 for r in trace.records)
@@ -82,7 +81,7 @@ def test_sufficient_decrease_passes(micro):
 def test_sufficient_decrease_constant_trace(micro):
     step, _ = micro
     trace = run(np.array([3.0, 0.0]), step, PARAMS, STOP)
-    report = check_sufficient_decrease(trace, derive_constants(step).nu, PARAMS.alpha)
+    report = check_sufficient_decrease(trace, step.prob.nu(step.h), PARAMS.alpha)
     assert report.passed and report.worst_violation == 0.0
 
 
@@ -91,15 +90,21 @@ def test_sufficient_decrease_catches_increasing_phi(micro):
     corrupted = copy.deepcopy(trace)
     # Large enough to make Phi increase across the first transition.
     corrupted.records[1].phi_x += 10.0
-    report = check_sufficient_decrease(corrupted, derive_constants(step).nu, PARAMS.alpha)
+    report = check_sufficient_decrease(corrupted, step.prob.nu(step.h), PARAMS.alpha)
     assert not report.passed
     assert report.at_iteration == 0
 
 
+def test_sufficient_decrease_rejects_an_empty_trace(micro):
+    step, trace = micro
+    with pytest.raises(ValueError, match="trace is empty"):
+        check_sufficient_decrease(replace(trace, records=[]), step.prob.nu(step.h), PARAMS.alpha)
+
+
 def test_residual_bound_micro(micro):
     step, trace = micro
-    c = derive_constants(step)
-    report = check_residual_bound(trace, c.beta, c.lipschitz, k_start=1)
+    L = step.prob.lipschitz
+    report = check_residual_bound(trace, step.h + L, L, k_start=1)
     assert report.passed
 
 
@@ -108,16 +113,15 @@ def test_residual_bound_gradient_descent():
     quad = SmoothQuadratic.from_data(rng.standard_normal((6, 6)), rng.standard_normal(6))
     gd = ProxGradientStep(prob=quad, h=quad.lipschitz)
     trace = run(np.zeros(6), gd, PARAMS, STOP)
-    c = derive_constants(gd)
-    report = check_residual_bound(trace, c.beta, c.lipschitz)
+    report = check_residual_bound(trace, gd.h + quad.lipschitz, quad.lipschitz)
     assert report.passed
 
 
 def test_residual_bound_vacuous_range(micro):
     step, trace = micro
-    c = derive_constants(step)
-    report = check_residual_bound(trace, c.beta, c.lipschitz, k_start=len(trace.records))
-    assert report.passed and report.worst_violation == 0.0 and report.constant_used == c.beta
+    L = step.prob.lipschitz
+    report = check_residual_bound(trace, step.h + L, L, k_start=len(trace.records))
+    assert report.passed and report.worst_violation == 0.0 and report.constant_used == step.h + L
     assert report.at_iteration is None
 
 
@@ -127,14 +131,15 @@ def test_residual_bound_names_its_least_slack_row(seeded, params):
     # least (the first such row on a tie) and that row's b_k.
     step, _ = seeded
     trace = run(np.zeros(32), step, params, STOP)
-    c = derive_constants(step)
+    L = step.prob.lipschitz
+    beta = step.h + L
     k_stab, _ = check_support(trace, step.prob.threshold(step.h))
     for k_start in (0, k_stab):
         rows = trace.records[k_start:]
-        b = [c.beta + c.lipschitz * extrapolation(r) for r in rows]
+        b = [beta + L * extrapolation(r) for r in rows]
         slack = [b_k * r.d_norm + TOL - r.residual for b_k, r in zip(b, rows)]
         least = int(np.argmin(slack))
-        report = check_residual_bound(trace, c.beta, c.lipschitz, k_start=k_start)
+        report = check_residual_bound(trace, beta, L, k_start=k_start)
         assert report.passed and report.worst_violation == 0.0
         assert (report.at_iteration, report.constant_used) == (k_start + least, b[least])
 
@@ -144,8 +149,8 @@ def test_residual_bound_catches_corruption(seeded):
     corrupted = copy.deepcopy(trace)
     corrupted.records[-1].residual += 1.0
     k_stab, _ = check_support(trace, step.prob.threshold(step.h))
-    c = derive_constants(step)
-    report = check_residual_bound(corrupted, c.beta, c.lipschitz, k_start=k_stab)
+    L = step.prob.lipschitz
+    report = check_residual_bound(corrupted, step.h + L, L, k_start=k_stab)
     assert not report.passed
 
 
@@ -188,35 +193,36 @@ def test_checks_are_sharp_at_each_rows_constant():
     a, b, _ = generate_instance(InstanceSpec(16, 32, 3, 0.01, seed=1))
     step = IHTStep.default(L0LeastSquares(quad=SmoothQuadratic.from_data(a, b), lam=0.01))
     trace = run(np.zeros(32), step, PARAMS, STOP)
-    c = derive_constants(step)
-    assert check_sufficient_decrease(trace, c.nu, PARAMS.alpha).passed
-    assert check_residual_bound(trace, c.beta, c.lipschitz).passed
+    L, nu = step.prob.lipschitz, step.prob.nu(step.h)
+    beta = step.h + L
+    assert check_sufficient_decrease(trace, nu, PARAMS.alpha).passed
+    assert check_residual_bound(trace, beta, L).passed
     rows = [next(r for r in trace.records if r.d_norm > 0 and kind(r.m_k))
             for kind in (lambda m: m == 0, lambda m: m >= 1, lambda m: m == ARMIJO_FAILED)]
     for r in rows:
         k, t = r.k, extrapolation(r)
-        b_k = c.beta + c.lipschitz * t
+        b_k = beta + L * t
         for factor, passed in ((1 + 1e-9, False), (1 - 1e-9, True)):
             corrupted = copy.deepcopy(trace)
             corrupted.records[k].residual = (b_k * r.d_norm + TOL) * factor
-            report = check_residual_bound(corrupted, c.beta, c.lipschitz)
+            report = check_residual_bound(corrupted, beta, L)
             assert report.passed is passed, (k, factor)
             if not passed:
                 assert (report.at_iteration, report.constant_used) == (k, b_k)
-        a_k = c.nu + PARAMS.alpha * t
+        a_k = nu + PARAMS.alpha * t
         tol_k = TOL * max(1.0, abs(r.phi_x))
         for shift, passed in ((1e-3 * tol_k, False), (-1e-3 * tol_k, True)):
             corrupted = copy.deepcopy(trace)
             corrupted.records[k + 1].phi_x = r.phi_x - a_k * r.d_norm ** 2 + tol_k + shift
-            report = check_sufficient_decrease(corrupted, c.nu, PARAMS.alpha)
+            report = check_sufficient_decrease(corrupted, nu, PARAMS.alpha)
             assert report.passed is passed, (k, shift)
             if not passed:
                 assert (report.at_iteration, report.constant_used) == (k, a_k)
     # An m = 0 row extrapolates by t = 1, so its bound is beta + L, not beta + L * eta.
     m0 = rows[0]
     corrupted = copy.deepcopy(trace)
-    corrupted.records[m0.k].residual = (c.beta + c.lipschitz * (1 + PARAMS.eta) / 2) * m0.d_norm
-    assert check_residual_bound(corrupted, c.beta, c.lipschitz).passed
+    corrupted.records[m0.k].residual = (beta + L * (1 + PARAMS.eta) / 2) * m0.d_norm
+    assert check_residual_bound(corrupted, beta, L).passed
 
 
 def test_check_support_micro(micro):
@@ -284,9 +290,9 @@ def test_cauchy_threshold_has_the_search_factor_only_on_search_traces(seeded):
     report, consts = cauchy_tail(search)
     t_last = extrapolation(search.records[-1])
     assert t_last > 0.0
-    assert report.constant_used == 10.0 * (consts.beta + consts.lipschitz * t_last) * STOP.d_tol
+    assert report.constant_used == 10.0 * (consts["beta"] + consts["lipschitz"] * t_last) * STOP.d_tol
     report, consts = cauchy_tail(plain)
-    threshold = 10.0 * consts.beta * STOP.d_tol
+    threshold = 10.0 * consts["beta"] * STOP.d_tol
     assert report.constant_used == threshold
     # A plain final residual above its own threshold, below the search's, fails.
     plain.records[-1].residual = 1.2 * threshold + TOL
@@ -302,9 +308,9 @@ def test_residual_bound_on_the_last_row_implies_cauchy_tail(seeded, params):
     step, _ = seeded
     trace = run(np.zeros(32), step, params, STOP)
     assert trace.stop_reason is StopReason.D_TOL
-    consts = derive_constants(step)
+    L = step.prob.lipschitz
     last = trace.records[-1]
-    b_last = consts.beta + consts.lipschitz * extrapolation(last)
+    b_last = step.h + L + L * extrapolation(last)
     bound = b_last * last.d_norm + TOL
     threshold = 10.0 * b_last * STOP.d_tol + TOL
     outcomes = set()
@@ -367,7 +373,7 @@ def test_run_diagnostics_on_a_smooth_objective(seeded, params):
     assert [r.name for r in reports] == ["sufficient_decrease", "residual_bound", "cauchy_tail"]
     assert all(r.passed for r in reports) and k_stab is None
     first = trace.records[0]
-    bound = (consts.beta + consts.lipschitz * extrapolation(first)) * first.d_norm + TOL
+    bound = (consts["beta"] + consts["lipschitz"] * extrapolation(first)) * first.d_norm + TOL
     corrupted = copy.deepcopy(trace)
     corrupted.records[0].residual = 2.0 * bound
     report = next(r for r in run_diagnostics(corrupted, step, PARAMS, STOP)[0] if r.name == "residual_bound")
@@ -395,24 +401,25 @@ def test_single_field_corruptions_are_caught(seeded):
 def test_summarize(micro, capsys):
     step, trace = micro
     reports, consts, k_stab = run_diagnostics(trace, step, PARAMS, STOP)
-    payload, text = summarize(reports, consts, trace.stop_reason, k_stab)
+    payload, text = summarize(reports, consts, trace.stop_reason)
     assert payload["stop_reason"] == "d_tol"
     assert list(payload["constants"]) == ["lipschitz", "nu", "beta", "k_stab"]
     assert payload["constants"]["lipschitz"] == step.prob.lipschitz
+    assert payload["constants"]["k_stab"] == k_stab
     for r in reports:
         assert r.name in payload and "PASS" in text
     with pytest.raises(ValueError):
-        summarize([], consts, trace.stop_reason, k_stab)
+        summarize([], consts, trace.stop_reason)
 
 
 def test_plain_trace_uses_nu_only(micro):
     step, _ = micro
     trace = run_plain(np.zeros(2), step, STOP)
-    c = derive_constants(step)
-    report = check_sufficient_decrease(trace, c.nu, PARAMS.alpha)
+    L, nu = step.prob.lipschitz, step.prob.nu(step.h)
+    report = check_sufficient_decrease(trace, nu, PARAMS.alpha)
     assert report.passed
-    assert report.constant_used == c.nu == step.prob.nu(step.h)
-    assert check_residual_bound(trace, c.beta, c.lipschitz).constant_used == c.beta
+    assert report.constant_used == nu
+    assert check_residual_bound(trace, step.h + L, L).constant_used == step.h + L
 
 
 def _solve(a, b, params, stop, variant):

@@ -127,6 +127,16 @@ def test_armijo_zero_direction_evaluates_nothing(monkeypatch, smooth):
     assert calls == []
 
 
+@pytest.mark.parametrize("d", [np.array([-0.5, 0.0]), np.zeros(2), np.array([[-0.5]])],
+                         ids=["longer", "longer-zero", "2-d"])
+def test_armijo_rejects_y_and_d_of_different_shapes(d):
+    # Checked before the zero-direction shortcut, which would accept a zero d of any shape.
+    obj = scalar_quadratic()
+    y = np.array([0.5])
+    with pytest.raises(ValueError, match="y and d must have the same length"):
+        armijo_search(obj, y, d, PARAMS, obj.value(y), float(d.ravel().dot(d.ravel())))
+
+
 def test_search_row_whose_d_sq_underflows_moves_to_its_record(monkeypatch):
     # Gradient descent with h = L = 1 on f(x) = x^2/2 from x0 = 2^-540: y = 0
     # and d = -x0, whose square underflows to 0, as do f(-x0) and the Armijo
@@ -237,6 +247,18 @@ def test_run_rejects_an_x0_that_is_not_1d(monkeypatch, shape, params):
         monkeypatch.setattr(objectives, name, lambda *args, name=name: calls.append(name))
     with pytest.raises(ValueError, match=f"x0 must be a 1-D vector, got shape {re.escape(str(shape))}"):
         run(np.zeros(shape), micro_step(), params, StopCriteria())
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("params", [PARAMS, None], ids=["search", "plain"])
+def test_run_rejects_a_non_finite_x0(monkeypatch, bad, params):
+    # Rejected as a bad input, before any product with A or A.T.
+    calls = []
+    for name in ("matvec", "transpose_matvec"):
+        monkeypatch.setattr(objectives, name, lambda *args, name=name: calls.append(name))
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        run(np.array([0.0, bad]), micro_step(), params, StopCriteria())
     assert calls == []
 
 

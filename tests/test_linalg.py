@@ -257,6 +257,8 @@ TWIN_STATES = {
     "larger-shape": lambda csv, twin: _patch_header(twin, rows=5),
     "huge-shape": lambda csv, twin: _patch_header(twin, rows=2**40, cols=2**20),
     "header-only": lambda csv, twin: twin.write_bytes(twin.read_bytes()[:linalg._TWIN_HEADER.size]),
+    "shorter-than-header": lambda csv, twin: twin.write_bytes(twin.read_bytes()[:linalg._TWIN_HEADER.size - 1]),
+    "twin-empty": lambda csv, twin: twin.write_bytes(b""),
     # Consistent in size and digests, but save_matrix never writes an empty matrix.
     "zero-rows": lambda csv, twin: (twin.write_bytes(twin.read_bytes()[:linalg._TWIN_HEADER.size]),
                                     _patch_header(twin, rows=0, payload_sha=hashlib.sha256(b"").digest())),

@@ -41,6 +41,12 @@ def test_dimension_mismatch(identity_problem):
         identity_problem.value(np.ones(3))
 
 
+@pytest.mark.parametrize("length", [1, 3])
+def test_from_data_rejects_a_b_of_another_length(length):
+    with pytest.raises(ValueError, match=f"A has 2 rows but b has length {length}"):
+        SmoothQuadratic.from_data(np.eye(2), np.ones(length))
+
+
 def test_eval_l0_examples(identity_problem):
     p = identity_problem
     assert p.value(np.zeros(2)) == 4.625

@@ -5,7 +5,6 @@ import pytest
 from conftest import base_step, residual_at
 from hypothesis import example, given, strategies as st
 
-from descentls.diagnostics import derive_constants
 from descentls.instances import InstanceSpec, generate_instance
 from descentls.objectives import L0LeastSquares, SmoothQuadratic
 from descentls.steps import IHTStep, ProxGradientStep
@@ -17,9 +16,8 @@ def make_problem(seed=1, lam=0.01, rows=16, cols=32, sparsity=3, noise=0.01):
 
 
 def step_constants(step):
-    """(nu, beta) of a step, as the diagnostics derive them."""
-    consts = derive_constants(step)
-    return consts.nu, consts.beta
+    """(nu, beta) of a step: nu(h) from its objective, and beta = h + L."""
+    return step.prob.nu(step.h), step.h + step.prob.lipschitz
 
 
 def l0(lam):
