@@ -39,10 +39,13 @@ class Objective(Protocol):
     Cost in products with A: `value` makes at most one with A, `grad` at
     most one with A and one with A.T, and `residual_from_grad`, `prox`,
     `nu` and `support_mask` make none.  A call on the last call's point
-    makes no product with A (the memo of `SmoothQuadratic`), and where its
-    support-column rule holds a product with A reads only the |S| columns
-    of the support of x; a product with A.T reads all of A.  `driver`
-    states what a solver iteration costs.
+    makes no product with A (the memo of `SmoothQuadratic`).  Where its
+    support-column rule holds, a product with A reads only the |S| columns
+    of the support of x, and `grad` makes no product with A.T but sums
+    cached Gram columns A^T a_j over the support: each column costs one
+    product with A.T the first time its index is in a support, and A^T b
+    one on the first such call.  Elsewhere a product with A.T reads all of
+    A.  `driver` states what a solver iteration costs.
 
     An objective has a support exactly when `support_mask` returns a mask,
     not None; the solve loop and the diagnostics both ask it.  Such an
@@ -79,9 +82,10 @@ class SmoothQuadratic:
     f(x) = 1/2 e.e, all set together when a call misses.  An x that is
     not a numpy array is a TypeError, and a miss rejects an x that is not
     1-D before any product.  A call whose x has the last call's key makes
-    no product: `value` returns the stored f, which costs only the key
-    comparison, and `grad` returns A.T e.  The bits are those of fresh
-    calls: e is the operand of A.T e either way, and
+    no product with A: `value` returns the stored f, which costs only the
+    key comparison, and `grad` returns A.T e, or its Gram-column form
+    below.  The bits are those of fresh calls: e is the operand of A.T e
+    either way, and
     e_i = -(b - A x)_i exactly, so e.e is the BLAS dot of the same squares
     as r.r with r = b - A x.  Mutating x in place changes its bytes, so it
     misses, and `dataclasses.replace` starts an empty memo.
@@ -97,17 +101,39 @@ class SmoothQuadratic:
     the bits of a fresh call; it differs from the full product at the
     rounding level.
 
-    `A` and `b` must not be mutated after construction; `lipschitz` and
-    the memo both assume that.
+    The Gram-column gradient: where the rule held for x, `grad` reads only
+    the support too, grad f(x) = G[:, S] x_S - A^T b with G[:, j] = A^T a_j.
+    Each column is built the first time j is in a support, by its own
+    `transpose_matvec` of the contiguous column a_j, and kept; A^T b is
+    built on the first such call.  The terms x_j G[:, j] are added
+    elementwise in support order to a zero vector, and A^T b is subtracted
+    last.  So the gradient is a function of x alone: a cached column has
+    the bits of a fresh build, which shares no product with another column
+    (a batched gemm A.T @ A[:, new] rounds every column differently from its
+    single-column build, so a trace would depend on which columns were built
+    together).  The cache holds at most m columns, the bytes of A: a support
+    of more than m columns takes A.T e, and a support whose new columns do
+    not fit first drops the cached columns outside it, so which form a
+    gradient takes depends on x alone too.  A build costs about one A.T e,
+    and a solve at 1024x2048 builds 8-9 columns.  The rounding error of
+    this gradient scales with ||A^T b|| (its two terms cancel near a fit),
+    not with ||e|| as that of A.T e does; a slack derived for the residual
+    checks (ROADMAP item 9) must carry that term.
+
+    `A` and `b` must not be mutated after construction; `lipschitz`, the
+    memo and the column cache all assume that.
     """
 
     A: np.ndarray
     b: np.ndarray
     lipschitz: float
-    # [key, e, f], replaced whole by one slice assignment.  A list, which a
-    # miss (every Armijo trial) sets about 0.2 us faster than
-    # object.__setattr__ sets a frozen field.
-    _memo: list = field(default_factory=lambda: [None, None, None], init=False, compare=False, repr=False)
+    # [key, e, f, nz], replaced whole by one slice assignment; nz holds the
+    # support indices of x where the support-column rule held, else None.
+    # A list, which a miss (every Armijo trial) sets about 0.2 us faster
+    # than object.__setattr__ sets a frozen field.
+    _memo: list = field(default_factory=lambda: [None, None, None, None], init=False, compare=False, repr=False)
+    # [A^T b, {j: G[:, j]}], both built by `grad` on first use.
+    _gram: list = field(default_factory=lambda: [None, {}], init=False, compare=False, repr=False)
 
     @classmethod
     def from_data(cls, A, b, lipschitz: Optional[float] = None) -> "SmoothQuadratic":
@@ -120,7 +146,7 @@ class SmoothQuadratic:
         return cls(A=A, b=b, lipschitz=spectral_norm_sq(A) if lipschitz is None else lipschitz)
 
     def _entry(self, x: np.ndarray) -> list:
-        """The memo entry [key, A x - b, f(x)] of x, made afresh on a miss."""
+        """The memo entry [key, A x - b, f(x), support or None] of x, made afresh on a miss."""
         try:
             key = (x.tobytes(), x.dtype, x.shape)
         except AttributeError:
@@ -129,20 +155,39 @@ class SmoothQuadratic:
         if key != memo[0]:
             if x.ndim != 1:
                 raise DimensionMismatch(f"x must be a 1-D vector, got shape {x.shape}")
-            a = self.A
+            a, nz = self.A, None
             if a.size >= GATHER_MIN_ENTRIES and x.shape[0] == a.shape[1]:
-                nz = np.flatnonzero(x)
-                if GATHER_COLS_PER_NONZERO * nz.size <= a.shape[1]:
+                support = np.flatnonzero(x)
+                if GATHER_COLS_PER_NONZERO * support.size <= a.shape[1]:
+                    nz = support
                     a, x = a.take(nz, axis=1), x[nz]
             e = matvec(a, x) - self.b
-            memo[:] = key, e, 0.5 * float(e.dot(e))
+            memo[:] = key, e, 0.5 * float(e.dot(e)), nz
         return memo
 
     def value(self, x: np.ndarray) -> float:
         return self._entry(x)[2]
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        return transpose_matvec(self.A, self._entry(x)[1])
+        entry = self._entry(x)
+        a, nz = self.A, entry[3]
+        if nz is None or nz.size > a.shape[0]:
+            return transpose_matvec(a, entry[1])
+        gram = self._gram
+        if gram[0] is None:
+            gram[0] = transpose_matvec(a, self.b)
+        support = nz.tolist()
+        cols = gram[1]
+        new = [j for j in support if j not in cols]
+        if len(cols) + len(new) > a.shape[0]:
+            cols = gram[1] = {j: cols[j] for j in support if j in cols}
+        for j in new:
+            cols[j] = transpose_matvec(a, np.ascontiguousarray(a[:, j]))
+        g = np.zeros(a.shape[1])
+        for j, xj in zip(support, x[nz].tolist()):
+            g += xj * cols[j]
+        g -= gram[0]
+        return g
 
     def residual_from_grad(self, g: np.ndarray, mask: None) -> float:
         return norm(g)

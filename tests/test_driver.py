@@ -313,8 +313,10 @@ def test_run_matches_iterate_and_support_sets(params):
 
 
 def _fresh_entry(quad, x):
+    """A memo entry made afresh by the full product, with no support: its
+    gradient is A.T e, whatever the size."""
     e = objectives.matvec(quad.A, x) - quad.b
-    return [None, e, 0.5 * float(e.dot(e))]
+    return [None, e, 0.5 * float(e.dot(e)), None]
 
 
 def _generated_case(spec):
@@ -379,13 +381,18 @@ def test_products_per_run_follow_the_cost_model(monkeypatch, spec):
 def test_products_at_a_gathered_size_follow_the_cost_model(monkeypatch):
     # 256x2048 passes the support-column rule, so a miss multiplies only the
     # nonzero columns of x: a product reads fewer columns but still counts
-    # as one.  Traces move at the rounding level, so each variant is held to
-    # a run that multiplies every column on every call.
+    # as one.  The gradient sums cached Gram columns instead of multiplying
+    # by A.T, so the products with A.T are one A^T b and one column build
+    # per distinct index of a gradient point's support, over both runs on
+    # the one objective.  Traces move at the rounding level, so each variant
+    # is held to a run that multiplies every column on every call.
     spec = InstanceSpec(256, 2048, 4, 0.01, seed=1)
     a, b, _ = generate_instance(spec)
     step = ProxGradientStep.default(L0LeastSquares(quad=SmoothQuadratic.from_data(a, b), lam=0.01))
     params = LineSearchParams()
-    counts = {}
+    counts = {"AT": 0}
+    seen = set()  # support indices of every gradient point so far
+    grad = SmoothQuadratic.grad
 
     def counting(name, fn):
         def wrapped(m, v):
@@ -394,14 +401,20 @@ def test_products_at_a_gathered_size_follow_the_cost_model(monkeypatch):
             return fn(m, v)
         return wrapped
 
+    def recording_grad(self, x):
+        seen.update(np.flatnonzero(x).tolist())
+        return grad(self, x)
+
     for variant in (None, params):
         with monkeypatch.context() as m:
             m.setattr(objectives, "matvec", counting("A", objectives.matvec))
             m.setattr(objectives, "transpose_matvec", counting("AT", objectives.transpose_matvec))
-            counts.update(A=0, AT=0, gathered=0)
+            m.setattr(SmoothQuadratic, "grad", recording_grad)
+            counts.update(A=0, gathered=0)
             trace = run(np.zeros(spec.cols), step, variant, StopCriteria())
         iters = len(trace.records)
-        assert counts["AT"] == iters + 1 and counts["gathered"] == counts["A"]
+        assert 0 < len(seen) <= spec.rows and counts["AT"] == 1 + len(seen)
+        assert counts["gathered"] == counts["A"]
         if variant is None:
             assert counts["A"] == iters + 1
         else:
@@ -413,6 +426,69 @@ def test_products_at_a_gathered_size_follow_the_cost_model(monkeypatch):
             full = run(np.zeros(spec.cols), step, variant, StopCriteria())
         assert trace.stop_reason is full.stop_reason is StopReason.D_TOL
         assert trace.final_phi == pytest.approx(full.final_phi, rel=1e-9, abs=0.0)
+
+
+def _records(trace):
+    return repr([astuple(r) for r in trace.records]), trace.final_x.tobytes(), trace.final_phi
+
+
+def test_gram_gradients_of_a_run_are_accurate_and_independent_of_the_cache(monkeypatch):
+    # At 256x2048 every gradient of a run sums cached Gram columns.  Each
+    # must lie within the forward-error bound of a product with A and A.T,
+    # 2 * gamma_{m+n+1} * |A|^T (|A| |x| + |b|) with gamma_k = k u / (1 - k u),
+    # of the two-product reference A.T (A x - b): it holds for the Gram form
+    # and for the reference alike.  Each must have the bits of the same call
+    # on an objective that has built nothing yet, and each cached column the
+    # bits of its own fresh build.  So a run reproduces on a fresh objective
+    # in either order in which a shared one sees the two variants: search
+    # then plain (the benchmark's order) and plain then search (`compare`'s).
+    spec = InstanceSpec(256, 2048, 4, 0.01, seed=2)
+    a, b, _ = generate_instance(spec)
+    lipschitz = SmoothQuadratic.from_data(a, b).lipschitz
+
+    def step_on(quad):
+        return ProxGradientStep.default(L0LeastSquares(quad=quad, lam=0.01))
+
+    def fresh_quad():
+        return SmoothQuadratic(A=a, b=b, lipschitz=lipschitz)
+
+    points = []
+    grad = SmoothQuadratic.grad
+
+    def recording_grad(self, x):
+        g = grad(self, x)
+        points.append((x, g))
+        return g
+
+    fresh = {}
+    with monkeypatch.context() as m:
+        m.setattr(SmoothQuadratic, "grad", recording_grad)
+        for variant in (None, PARAMS):
+            fresh[variant] = _records(run(np.zeros(spec.cols), step_on(fresh_quad()), variant, StopCriteria()))
+    u = np.finfo(np.float64).eps / 2
+    gamma = (a.shape[0] + a.shape[1] + 1) * u / (1 - (a.shape[0] + a.shape[1] + 1) * u)
+    abs_a = np.abs(a)
+    for x, g in points:
+        reference = a.T.dot(a.dot(x) - b)
+        bound = 2 * gamma * abs_a.T.dot(abs_a.dot(np.abs(x)) + np.abs(b))
+        assert (np.abs(g - reference) <= bound).all()
+        assert g.tobytes() == fresh_quad().grad(x).tobytes()
+
+    # The first order builds A^T b and one column per support index seen;
+    # the second then runs on cache hits alone and builds nothing.
+    builds = []
+    monkeypatch.setattr(objectives, "transpose_matvec", lambda m, v: builds.append(1) or m.T.dot(v))
+    shared = fresh_quad()
+    seen = {j for x, _ in points for j in np.flatnonzero(x).tolist()}
+    for order, built in (((PARAMS, None), 1 + len(seen)), ((None, PARAMS), 0)):
+        builds.clear()
+        for variant in order:
+            assert _records(run(np.zeros(spec.cols), step_on(shared), variant, StopCriteria())) == fresh[variant]
+        assert len(builds) == built
+    atb, columns = shared._gram
+    assert atb.tobytes() == a.T.dot(b).tobytes() and sorted(columns) == sorted(seen)
+    for j, column in columns.items():
+        assert column.tobytes() == a.T.dot(np.ascontiguousarray(a[:, j])).tobytes()
 
 
 @pytest.mark.parametrize("variant", [None, PARAMS], ids=["plain", "search"])

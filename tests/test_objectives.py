@@ -289,16 +289,21 @@ def test_replace_starts_an_empty_memo():
 
 def _support_formula(quad, name, x):
     """`value` or `grad` from the support columns alone: with nz the nonzeros
-    of x and e = A[:, nz] x[nz] - b, f = e.e / 2 and the gradient A.T e.
+    of x and e = A[:, nz] x[nz] - b, f = e.e / 2, and the gradient
+    sum_j x_j G[:, j] - A^T b over j in nz in order, from zero, with each
+    G[:, j] = A.T a_j a product of its own.
 
     The gathered columns are copied to C order, the layout `take` gives:
     `A[:, nz]` is F-ordered, and its product runs another BLAS kernel,
     which rounds differently."""
     nz = np.flatnonzero(x)
-    e = np.ascontiguousarray(quad.A[:, nz]).dot(x[nz]) - quad.b
     if name == "value":
+        e = np.ascontiguousarray(quad.A[:, nz]).dot(x[nz]) - quad.b
         return 0.5 * float(e.dot(e))
-    return quad.A.T.dot(e)
+    g = np.zeros(quad.A.shape[1])
+    for j, xj in zip(nz, x[nz].astype(np.float64)):
+        g += xj * quad.A.T.dot(np.ascontiguousarray(quad.A[:, j]))
+    return g - quad.A.T.dot(quad.b)
 
 
 def _columns_per_product(monkeypatch):
@@ -349,8 +354,39 @@ def test_support_columns_keep_the_bits_of_the_support_formula(monkeypatch, first
         assert columns[-2:] == [support, support]
     assert np.isnan(quad.value(nan))
     np.testing.assert_array_equal(quad._entry(np.zeros(2048))[1], -b)
-    with pytest.raises(TypeError, match="^x must be a numpy array, got list$"):
-        quad.value(signed.tolist())
-    for n in (2047, 2049):  # a support that fits A must not hide a wrong length
-        with pytest.raises(DimensionMismatch, match=f"2048 columns, vector has length {n}"):
-            quad.value(np.zeros(n))
+    np.testing.assert_array_equal(quad.grad(np.zeros(2048)), 0.0 - a.T.dot(b))
+    for name in (first, second):
+        with pytest.raises(TypeError, match="^x must be a numpy array, got list$"):
+            getattr(quad, name)(signed.tolist())
+        with pytest.raises(DimensionMismatch, match=r"\(2048, 1\)"):
+            getattr(quad, name)(signed.reshape(2048, 1))
+        for n in (2047, 2049):  # a support that fits A must not hide a wrong length
+            with pytest.raises(DimensionMismatch, match=f"2048 columns, vector has length {n}"):
+                getattr(quad, name)(np.zeros(n))
+
+
+def test_column_cache_holds_at_most_m_columns_and_keeps_the_bits():
+    # At 64x8192 the rule admits supports of up to 819 columns, but the
+    # cache holds at most m = 64 columns, the bytes of A.  A support of 65
+    # columns takes A.T e; one whose new columns do not fit beside the
+    # cached ones drops the cached columns outside it.  Either way each
+    # gradient keeps the bits of a fresh objective and the accuracy of
+    # A.T (A x - b).
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((64, 8192)) / 8.0
+    b = rng.standard_normal(64)
+    quad = SmoothQuadratic.from_data(a, b)
+    first = np.zeros(8192)
+    first[:4096:64] = rng.standard_normal(64)
+    second = np.zeros(8192)
+    second[2048:6144:64] = rng.standard_normal(64)
+    over = np.zeros(8192)
+    over[:65] = 1.0
+    for x, cached in [(first, range(0, 4096, 64)), (second, range(2048, 6144, 64)),
+                      (over, range(2048, 6144, 64))]:
+        g = quad.grad(x)
+        assert sorted(quad._gram[1]) == list(cached)
+        assert g.tobytes() == _fresh(quad).grad(x).tobytes()
+        np.testing.assert_allclose(g, a.T.dot(a.dot(x) - b), rtol=0.0, atol=1e-12)
+    e = a.take(np.flatnonzero(over), axis=1).dot(over[:65]) - b
+    assert quad.grad(over).tobytes() == a.T.dot(e).tobytes()
