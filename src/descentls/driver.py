@@ -25,11 +25,12 @@ iters + 1 with A.T.  The objective's `value` and `grad` are called
 2 * iters + trials + 1 and iters + 1 times, whatever the memo serves.
 Where the objective's support-column rule holds, a product with A reads
 only the |S| columns of its point's support, and each trial's support lies
-in supp(x) | supp(y).  There the gradient sums cached Gram columns
-A^T a_j over the support instead of multiplying by A.T, so the products
-with A.T are one for A^T b, on the objective's first such gradient, and
-one per support index that no earlier gradient point of the objective
-had; each reads all of A.  Elsewhere every product with A.T reads all of A.
+in supp(x) | supp(y).  Where the support is also small, the gradient
+sums cached Gram columns A^T a_j over it instead of multiplying by A.T,
+so the products with A.T are one for A^T b, on the objective's first such
+gradient, and one per support index whose column is not cached (at most
+m are kept; see `SmoothQuadratic`); each reads all of A.  Every other
+gradient makes one product with A.T, which reads all of A.
 """
 
 from __future__ import annotations

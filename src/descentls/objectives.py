@@ -31,6 +31,8 @@ from .linalg import DimensionMismatch, as_matrix, as_vector, matvec, norm, spect
 # The support-column rule of `SmoothQuadratic` (see its docstring).
 GATHER_MIN_ENTRIES = 1 << 19
 GATHER_COLS_PER_NONZERO = 10
+# The largest support whose gradient sums cached Gram columns (see `SmoothQuadratic`).
+GRAM_MAX_SUPPORT = 32
 
 
 class Objective(Protocol):
@@ -41,9 +43,9 @@ class Objective(Protocol):
     `nu` and `support_mask` make none.  A call on the last call's point
     makes no product with A (the memo of `SmoothQuadratic`).  Where its
     support-column rule holds, a product with A reads only the |S| columns
-    of the support of x, and `grad` makes no product with A.T but sums
-    cached Gram columns A^T a_j over the support: each column costs one
-    product with A.T the first time its index is in a support, and A^T b
+    of the support of x, and where its support is also small `grad` makes
+    no product with A.T but sums cached Gram columns A^T a_j over the
+    support: each column not cached costs one product with A.T, and A^T b
     one on the first such call.  Elsewhere a product with A.T reads all of
     A.  `driver` states what a solver iteration costs.
 
@@ -101,24 +103,33 @@ class SmoothQuadratic:
     the bits of a fresh call; it differs from the full product at the
     rounding level.
 
-    The Gram-column gradient: where the rule held for x, `grad` reads only
-    the support too, grad f(x) = G[:, S] x_S - A^T b with G[:, j] = A^T a_j.
-    Each column is built the first time j is in a support, by its own
-    `transpose_matvec` of the contiguous column a_j, and kept; A^T b is
-    built on the first such call.  The terms x_j G[:, j] are added
-    elementwise in support order to a zero vector, and A^T b is subtracted
-    last.  So the gradient is a function of x alone: a cached column has
-    the bits of a fresh build, which shares no product with another column
-    (a batched gemm A.T @ A[:, new] rounds every column differently from its
-    single-column build, so a trace would depend on which columns were built
-    together).  The cache holds at most m columns, the bytes of A: a support
-    of more than m columns takes A.T e, and a support whose new columns do
-    not fit first drops the cached columns outside it, so which form a
-    gradient takes depends on x alone too.  A build costs about one A.T e,
-    and a solve at 1024x2048 builds 8-9 columns.  The rounding error of
-    this gradient scales with ||A^T b|| (its two terms cancel near a fit),
-    not with ||e|| as that of A.T e does; a slack derived for the residual
-    checks (ROADMAP item 9) must carry that term.
+    The Gram-column gradient: where the rule held for x and also
+    |S| <= min(GRAM_MAX_SUPPORT, m), `grad` reads only the support too,
+    grad f(x) = G[:, S] x_S - A^T b with G[:, j] = A^T a_j; a larger
+    support takes A.T e.  A column j of the support that is not cached is
+    built by its own `transpose_matvec` of the contiguous column a_j and
+    kept; A^T b is built on the first such call.  The terms x_j G[:, j] are
+    added elementwise in support order to a zero vector, and A^T b is
+    subtracted last.  So the gradient is a function of x alone: a cached
+    column has the bits of a fresh build, which shares no product with
+    another column (a batched gemm A.T @ A[:, new] rounds every column
+    differently from its single-column build, so a trace would depend on
+    which columns were built together).  The cache holds at most m
+    columns, the bytes of A: a support whose new columns do not fit first
+    drops the cached columns outside it, and a dropped column is built
+    again when its index returns.  Which form a gradient takes depends on
+    x alone too.  A build costs about one A.T e, so the form pays only
+    while a solve meets fewer distinct support indices than it makes
+    gradients: a gradient with k uncached indices costs k builds.  The
+    supports of a solve shrink toward its final one nearly nested, so it
+    builds little more than the largest support the form admits.
+    GRAM_MAX_SUPPORT = 32 was measured at 1024x2048, where admitting
+    supports up to n/10 = 204 built more columns than some solves had
+    gradients, and 204 vector updates cost 0.64 of one A.T e (README's
+    "Costs").  The rounding error of this gradient scales with ||A^T b||
+    (its two terms cancel near a fit), not with ||e|| as that of A.T e
+    does; a slack derived for the residual checks (ROADMAP item 9) must
+    carry that term.
 
     `A` and `b` must not be mutated after construction; `lipschitz`, the
     memo and the column cache all assume that.
@@ -171,7 +182,7 @@ class SmoothQuadratic:
     def grad(self, x: np.ndarray) -> np.ndarray:
         entry = self._entry(x)
         a, nz = self.A, entry[3]
-        if nz is None or nz.size > a.shape[0]:
+        if nz is None or nz.size > min(GRAM_MAX_SUPPORT, a.shape[0]):
             return transpose_matvec(a, entry[1])
         gram = self._gram
         if gram[0] is None:

@@ -381,17 +381,20 @@ def test_products_per_run_follow_the_cost_model(monkeypatch, spec):
 def test_products_at_a_gathered_size_follow_the_cost_model(monkeypatch):
     # 256x2048 passes the support-column rule, so a miss multiplies only the
     # nonzero columns of x: a product reads fewer columns but still counts
-    # as one.  The gradient sums cached Gram columns instead of multiplying
-    # by A.T, so the products with A.T are one A^T b and one column build
-    # per distinct index of a gradient point's support, over both runs on
-    # the one objective.  Traces move at the rounding level, so each variant
-    # is held to a run that multiplies every column on every call.
+    # as one.  A gradient whose support has at most GRAM_MAX_SUPPORT indices
+    # sums cached Gram columns instead of multiplying by A.T, so the
+    # products with A.T are one A^T b, one column build per distinct index
+    # of such a support, over both runs on the one objective (256 columns
+    # fit the cache), and one A.T e per larger support.  Traces move at the
+    # rounding level, so each variant is held to a run that multiplies every
+    # column on every call.
     spec = InstanceSpec(256, 2048, 4, 0.01, seed=1)
     a, b, _ = generate_instance(spec)
     step = ProxGradientStep.default(L0LeastSquares(quad=SmoothQuadratic.from_data(a, b), lam=0.01))
     params = LineSearchParams()
     counts = {"AT": 0}
-    seen = set()  # support indices of every gradient point so far
+    seen = set()  # support indices of every Gram-form gradient point so far
+    over = []  # gradient points whose support is too large for the Gram form
     grad = SmoothQuadratic.grad
 
     def counting(name, fn):
@@ -402,7 +405,11 @@ def test_products_at_a_gathered_size_follow_the_cost_model(monkeypatch):
         return wrapped
 
     def recording_grad(self, x):
-        seen.update(np.flatnonzero(x).tolist())
+        support = np.flatnonzero(x).tolist()
+        if len(support) <= objectives.GRAM_MAX_SUPPORT:
+            seen.update(support)
+        else:
+            over.append(len(support))
         return grad(self, x)
 
     for variant in (None, params):
@@ -413,7 +420,7 @@ def test_products_at_a_gathered_size_follow_the_cost_model(monkeypatch):
             counts.update(A=0, gathered=0)
             trace = run(np.zeros(spec.cols), step, variant, StopCriteria())
         iters = len(trace.records)
-        assert 0 < len(seen) <= spec.rows and counts["AT"] == 1 + len(seen)
+        assert 0 < len(seen) <= spec.rows and counts["AT"] == 1 + len(seen) + len(over)
         assert counts["gathered"] == counts["A"]
         if variant is None:
             assert counts["A"] == iters + 1
@@ -433,8 +440,10 @@ def _records(trace):
 
 
 def test_gram_gradients_of_a_run_are_accurate_and_independent_of_the_cache(monkeypatch):
-    # At 256x2048 every gradient of a run sums cached Gram columns.  Each
-    # must lie within the forward-error bound of a product with A and A.T,
+    # At 256x2048, sparsity 4, no gradient point of a run has more than
+    # GRAM_MAX_SUPPORT nonzeros, so every gradient sums cached Gram
+    # columns.  Each must lie within the forward-error bound of a product
+    # with A and A.T,
     # 2 * gamma_{m+n+1} * |A|^T (|A| |x| + |b|) with gamma_k = k u / (1 - k u),
     # of the two-product reference A.T (A x - b): it holds for the Gram form
     # and for the reference alike.  Each must have the bits of the same call
@@ -465,6 +474,7 @@ def test_gram_gradients_of_a_run_are_accurate_and_independent_of_the_cache(monke
         m.setattr(SmoothQuadratic, "grad", recording_grad)
         for variant in (None, PARAMS):
             fresh[variant] = _records(run(np.zeros(spec.cols), step_on(fresh_quad()), variant, StopCriteria()))
+    assert max(np.count_nonzero(x) for x, _ in points) <= objectives.GRAM_MAX_SUPPORT
     u = np.finfo(np.float64).eps / 2
     gamma = (a.shape[0] + a.shape[1] + 1) * u / (1 - (a.shape[0] + a.shape[1] + 1) * u)
     abs_a = np.abs(a)
@@ -489,6 +499,29 @@ def test_gram_gradients_of_a_run_are_accurate_and_independent_of_the_cache(monke
     assert atb.tobytes() == a.T.dot(b).tobytes() and sorted(columns) == sorted(seen)
     for j, column in columns.items():
         assert column.tobytes() == a.T.dot(np.ascontiguousarray(a[:, j])).tobytes()
+
+
+def test_runs_across_the_gram_cap_reproduce_on_a_fresh_objective():
+    # At 256x2048, sparsity 12, a run's gradient points have supports on
+    # both sides of GRAM_MAX_SUPPORT, so it mixes the Gram form and A.T e.
+    # Which form a gradient takes depends on x alone, so on one objective
+    # shared in either order each run has the records of a fresh one.
+    spec = InstanceSpec(256, 2048, 12, 0.01, seed=3)
+    a, b, _ = generate_instance(spec)
+    lipschitz = SmoothQuadratic.from_data(a, b).lipschitz
+
+    def run_on(quad, variant):
+        step = ProxGradientStep.default(L0LeastSquares(quad=quad, lam=0.01))
+        return run(np.zeros(spec.cols), step, variant, StopCriteria())
+
+    fresh = {v: run_on(SmoothQuadratic(A=a, b=b, lipschitz=lipschitz), v) for v in (None, PARAMS)}
+    for trace in fresh.values():
+        sizes = {r.support_size > objectives.GRAM_MAX_SUPPORT for r in trace.records}
+        assert sizes == {False, True}
+    for order in ((PARAMS, None), (None, PARAMS)):
+        shared = SmoothQuadratic(A=a, b=b, lipschitz=lipschitz)
+        for variant in order:
+            assert _records(run_on(shared, variant)) == _records(fresh[variant])
 
 
 @pytest.mark.parametrize("variant", [None, PARAMS], ids=["plain", "search"])

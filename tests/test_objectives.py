@@ -365,28 +365,47 @@ def test_support_columns_keep_the_bits_of_the_support_formula(monkeypatch, first
                 getattr(quad, name)(np.zeros(n))
 
 
+def test_gram_form_takes_supports_up_to_its_cap():
+    # The gradient sums Gram columns only while |S| <= min(GRAM_MAX_SUPPORT,
+    # m): 32 at 256x2048, and m = 16 at 16x32768.  One index more takes A.T e
+    # of the gathered residual, with its bits, and builds nothing.
+    assert objectives.GRAM_MAX_SUPPORT == 32
+    rng = np.random.default_rng(3)
+    for rows, cols, cap in [(256, 2048, 32), (16, 32768, 16)]:
+        a = rng.standard_normal((rows, cols)) / np.sqrt(rows)
+        b = rng.standard_normal(rows)
+        for size in (cap, cap + 1):
+            quad = SmoothQuadratic.from_data(a, b, lipschitz=1.0)
+            x = np.zeros(cols)
+            x[:2 * size:2] = rng.uniform(0.5, 1.5, size)
+            g = quad.grad(x)
+            if size == cap:
+                assert g.tobytes() == _support_formula(quad, "grad", x).tobytes()
+                assert sorted(quad._gram[1]) == list(range(0, 2 * size, 2))
+            else:
+                e = a[:, :2 * size:2].copy().dot(x[:2 * size:2]) - b
+                assert g.tobytes() == a.T.dot(e).tobytes() and quad._gram == [None, {}]
+
+
 def test_column_cache_holds_at_most_m_columns_and_keeps_the_bits():
-    # At 64x8192 the rule admits supports of up to 819 columns, but the
-    # cache holds at most m = 64 columns, the bytes of A.  A support of 65
-    # columns takes A.T e; one whose new columns do not fit beside the
-    # cached ones drops the cached columns outside it.  Either way each
-    # gradient keeps the bits of a fresh objective and the accuracy of
-    # A.T (A x - b).
+    # At 64x8192 the cache holds at most m = 64 columns, the bytes of A.
+    # Two disjoint supports of 32 fill it; a third whose 16 new columns do
+    # not fit beside them drops the cached columns outside it, and a support
+    # of 33 columns takes A.T e and leaves the cache alone.  Each gradient
+    # keeps the bits of a fresh objective and the accuracy of A.T (A x - b).
     rng = np.random.default_rng(7)
     a = rng.standard_normal((64, 8192)) / 8.0
     b = rng.standard_normal(64)
     quad = SmoothQuadratic.from_data(a, b)
-    first = np.zeros(8192)
-    first[:4096:64] = rng.standard_normal(64)
-    second = np.zeros(8192)
-    second[2048:6144:64] = rng.standard_normal(64)
-    over = np.zeros(8192)
-    over[:65] = 1.0
-    for x, cached in [(first, range(0, 4096, 64)), (second, range(2048, 6144, 64)),
-                      (over, range(2048, 6144, 64))]:
+    supports = [range(0, 4096, 128), range(4096, 8192, 128),
+                sorted([*range(4096, 6144, 128), *range(64, 2112, 128)]), range(33)]
+    cached = [supports[0], [*supports[0], *supports[1]], supports[2], supports[2]]
+    for support, expected in zip(supports, cached):
+        x = np.zeros(8192)
+        x[list(support)] = rng.uniform(0.5, 1.5, len(support))
         g = quad.grad(x)
-        assert sorted(quad._gram[1]) == list(cached)
+        assert sorted(quad._gram[1]) == sorted(expected)
         assert g.tobytes() == _fresh(quad).grad(x).tobytes()
         np.testing.assert_allclose(g, a.T.dot(a.dot(x) - b), rtol=0.0, atol=1e-12)
-    e = a.take(np.flatnonzero(over), axis=1).dot(over[:65]) - b
-    assert quad.grad(over).tobytes() == a.T.dot(e).tobytes()
+    e = a[:, :33].copy().dot(x[:33]) - b
+    assert g.tobytes() == a.T.dot(e).tobytes()
