@@ -116,12 +116,13 @@ def _build_problem(args) -> Problem:
     # Checked before the costly set-up: the instance and its ||A||^2.
     params = LineSearchParams(alpha=args.alpha, eta=args.eta, cap=args.cap_m)
     stop = StopCriteria(max_iters=args.max_iters, d_tol=args.d_tol)
+    spec = _spec(args)  # checked beside --matrix too, where it is otherwise unused
     norm_sq = None
     if args.matrix is not None:
         a, norm_sq = load_matrix(args.matrix)
         b = load_vector(args.rhs)
     else:
-        a, b, _ = generate_instance(_spec(args))
+        a, b, _ = generate_instance(spec)
     quad = SmoothQuadratic.from_data(a, b, lipschitz=norm_sq)
     prob = L0LeastSquares(quad=quad, lam=args.lam)
     step = ProxGradientStep.default(prob, h_factor=args.h_factor)

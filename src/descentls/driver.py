@@ -13,24 +13,18 @@ Without search parameters the same loop iterates the bare base step
 (x_next = y) for comparison.
 
 The gradient of x_next, which the row's residual needs, is kept for the
-next iteration's base step, so each iteration evaluates the gradient once.
-The objective's memo (`objectives.SmoothQuadratic`) serves Phi(x) from
-grad(x), grad(y) on a plain row from Phi(y), and grad(x_next) from the
-accepted trial when x_next has its bits.  So a plain iteration costs 1
-product with A and 1 with A.T, and a run of iters rows makes iters + 1 of
-each.  With the search an iteration makes 1 with A.T and at most
-2 + trials with A: Phi(y), one Phi per Armijo trial, and grad(x_next).  A
-run then makes at most 2 * iters + trials + 1 products with A and
-iters + 1 with A.T.  The objective's `value` and `grad` are called
-2 * iters + trials + 1 and iters + 1 times, whatever the memo serves.
-Where the objective's support-column rule holds, a product with A reads
-only the |S| columns of its point's support, and each trial's support lies
-in supp(x) | supp(y).  Where the support is also small, the gradient
-sums cached Gram columns A^T a_j over it instead of multiplying by A.T,
-so the products with A.T are one for A^T b, on the objective's first such
-gradient, and one per support index whose column is not cached (at most
-m are kept; see `SmoothQuadratic`); each reads all of A.  Every other
-gradient makes one product with A.T, which reads all of A.
+next iteration's base step.  So a run of iters rows calls `grad`
+iters + 1 times and `value` 2 * iters + trials + 1 times: Phi(x) and Phi(y)
+per row, one Phi per Armijo trial, and Phi of the final iterate.  The
+objective's memo (`objectives.SmoothQuadratic`) serves Phi(x) from
+grad(x), grad(y) on a plain row from Phi(y), grad(x_next) from the
+accepted trial when x_next has its bits, and the final Phi from the last
+gradient.  So a plain row makes 1 product with A, and a search row at most
+2 + trials: Phi(y), one Phi per trial, and grad(x_next).  A run then makes
+iters + 1 products with A, or at most 2 * iters + trials + 1 with the
+search.  Each `grad` call makes the products with A.T that `Objective`
+states; below the support-column rule of `SmoothQuadratic` that is one,
+so a run makes iters + 1 with A.T, each reading all of A.
 """
 
 from __future__ import annotations

@@ -38,16 +38,16 @@ GRAM_MAX_SUPPORT = 32
 class Objective(Protocol):
     """Behavior contract shared by all objectives.
 
-    Cost in products with A: `value` makes at most one with A, `grad` at
-    most one with A and one with A.T, and `residual_from_grad`, `prox`,
-    `nu` and `support_mask` make none.  A call on the last call's point
-    makes no product with A (the memo of `SmoothQuadratic`).  Where its
-    support-column rule holds, a product with A reads only the |S| columns
-    of the support of x, and where its support is also small `grad` makes
-    no product with A.T but sums cached Gram columns A^T a_j over the
-    support: each column not cached costs one product with A.T, and A^T b
-    one on the first such call.  Elsewhere a product with A.T reads all of
-    A.  `driver` states what a solver iteration costs.
+    Cost in products with A, per call: `value` makes at most one with A.
+    `grad` makes at most one with A, and with A.T either one (A.T e) or, in
+    the Gram-column form of `SmoothQuadratic`, one per support column not
+    cached plus one for A^T b on the objective's first such call: at most
+    1 + min(GRAM_MAX_SUPPORT, m) for an A of m rows.  `residual_from_grad`,
+    `prox`, `nu` and `support_mask` make none.  A call on the last call's
+    point makes no product with A.  A product with A.T reads all of A; one
+    with A reads all of A or, where the support-column rule of
+    `SmoothQuadratic` holds, only the |S| columns of the support of x.
+    `driver` states what a run costs.
 
     An objective has a support exactly when `support_mask` returns a mask,
     not None; the solve loop and the diagnostics both ask it.  Such an
@@ -79,18 +79,20 @@ class Objective(Protocol):
 class SmoothQuadratic:
     """f(x) = 1/2 ||b - A x||^2 with a cached gradient-Lipschitz constant.
 
-    `value` and `grad` share a one-entry memo of the last point x: its key
-    (the dtype, shape and bytes of x), the residual e = A x - b and
-    f(x) = 1/2 e.e, all set together when a call misses.  An x that is
-    not a numpy array is a TypeError, and a miss rejects an x that is not
-    1-D before any product.  A call whose x has the last call's key makes
-    no product with A: `value` returns the stored f, which costs only the
-    key comparison, and `grad` returns A.T e, or its Gram-column form
-    below.  The bits are those of fresh calls: e is the operand of A.T e
-    either way, and
-    e_i = -(b - A x)_i exactly, so e.e is the BLAS dot of the same squares
-    as r.r with r = b - A x.  Mutating x in place changes its bytes, so it
-    misses, and `dataclasses.replace` starts an empty memo.
+    It reuses work in three ways, and none makes a result depend on what
+    the objective computed before: each result is a function of x alone.
+
+    The memo: `value` and `grad` share the last point's key (the dtype,
+    shape and bytes of x), its residual e = A x - b and f(x) = 1/2 e.e, all
+    set together when a call misses.  A call whose x has the last call's
+    key makes no product with A: `value` returns the stored f, and `grad`
+    forms the gradient from the stored e.  The bits are those of fresh
+    calls: e is the operand of A.T e either way, and e_i = -(b - A x)_i
+    exactly, so e.e is the BLAS dot of the same squares as r.r with
+    r = b - A x.  Mutating x in place changes its bytes, so it misses, and
+    `dataclasses.replace` starts with nothing reused.  An x that is not a
+    numpy array is a TypeError, and a miss rejects an x that is not 1-D
+    before any product.
 
     The support-column rule: on a miss, when A has at least
     GATHER_MIN_ENTRIES entries (4 MiB, twice a 2 MiB L2) and the support S
@@ -99,37 +101,28 @@ class SmoothQuadratic:
     that `A.take` copies with x_S.  Per row the gather reads a 64-byte line
     per column and writes and rereads 8 bytes, against n/8 lines for the
     full product, so they break even at |S| = n/10, README's measured
-    crossover.  The product depends only on A's size and x, so a hit keeps
-    the bits of a fresh call; it differs from the full product at the
-    rounding level.
+    crossover.  The product depends only on A's size and x; it differs
+    from the full product at the rounding level.
 
     The Gram-column gradient: where the rule held for x and also
-    |S| <= min(GRAM_MAX_SUPPORT, m), `grad` reads only the support too,
-    grad f(x) = G[:, S] x_S - A^T b with G[:, j] = A^T a_j; a larger
-    support takes A.T e.  A column j of the support that is not cached is
-    built by its own `transpose_matvec` of the contiguous column a_j and
-    kept; A^T b is built on the first such call.  The terms x_j G[:, j] are
-    added elementwise in support order to a zero vector, and A^T b is
-    subtracted last.  So the gradient is a function of x alone: a cached
-    column has the bits of a fresh build, which shares no product with
-    another column (a batched gemm A.T @ A[:, new] rounds every column
+    |S| <= min(GRAM_MAX_SUPPORT, m), grad f(x) = G[:, S] x_S - A^T b with
+    G[:, j] = A^T a_j; a larger support takes A.T e.  A column of the
+    support that is not cached is built by its own `transpose_matvec` of
+    the contiguous column a_j and kept, and A^T b is built on the first
+    such call.  The terms x_j G[:, j] are added elementwise in support order
+    to a zero vector, and A^T b is subtracted last.  Columns are built one
+    at a time because a batched gemm A.T @ A[:, new] rounds every column
     differently from its single-column build, so a trace would depend on
-    which columns were built together).  The cache holds at most m
-    columns, the bytes of A: a support whose new columns do not fit first
-    drops the cached columns outside it, and a dropped column is built
-    again when its index returns.  Which form a gradient takes depends on
-    x alone too.  A build costs about one A.T e, so the form pays only
+    which columns were built together.  The cache holds at most m columns,
+    the bytes of A: a support whose new columns do not fit first drops the
+    cached columns outside it, and a dropped column is built again when its
+    index returns.  A build costs about one A.T e, so the form pays only
     while a solve meets fewer distinct support indices than it makes
-    gradients: a gradient with k uncached indices costs k builds.  The
-    supports of a solve shrink toward its final one nearly nested, so it
-    builds little more than the largest support the form admits.
-    GRAM_MAX_SUPPORT = 32 was measured at 1024x2048, where admitting
-    supports up to n/10 = 204 built more columns than some solves had
-    gradients, and 204 vector updates cost 0.64 of one A.T e (README's
-    "Costs").  The rounding error of this gradient scales with ||A^T b||
-    (its two terms cancel near a fit), not with ||e|| as that of A.T e
-    does; a slack derived for the residual checks (ROADMAP item 9) must
-    carry that term.
+    gradients; README's "Costs" gives the measurements behind
+    GRAM_MAX_SUPPORT.  The rounding error of this gradient scales with
+    ||A^T b|| (its two terms cancel near a fit), not with ||e|| as that of
+    A.T e does; a slack derived for the residual checks (ROADMAP item 9)
+    must carry that term.
 
     `A` and `b` must not be mutated after construction; `lipschitz`, the
     memo and the column cache all assume that.

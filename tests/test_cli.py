@@ -207,6 +207,9 @@ def test_usage_errors(tmp_path, capsys, micro_files):
     assert main(["run", "--seed", "1", "--h-factor", "1.0", "--out", str(tmp_path)]) == 2
     # Non-finite or out-of-range parameters fail before any solve, so nothing is written.
     out = tmp_path / "nonfinite"
+    files = ["--matrix", str(micro_files / "A.csv"), "--rhs", str(micro_files / "b.csv")]
+    trace = tmp_path / "trace.csv"
+    assert main(["run", *micro_args(micro_files, tmp_path)]) == 0
     for flag, value, message in [("--alpha", "inf", "alpha must be"), ("--d-tol", "nan", "d_tol must be"),
                                  ("--d-tol", "inf", "d_tol must be"),
                                  ("--h-factor", "inf", "h = inf must be finite"),
@@ -218,6 +221,14 @@ def test_usage_errors(tmp_path, capsys, micro_files):
         capsys.readouterr()
         assert main(["run", "--seed", "1", flag, value, "--out", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        if flag == "--noise":
+            # Beside --matrix the generator flags are otherwise unused, and
+            # an invalid one fails all the same, --rows -3 first.
+            for command in (["run"], ["run-plain"], ["compare"], ["verify", "--trace", str(trace)]):
+                assert main([*command, *files, flag, value, "--out", str(out)]) == 2
+                assert capsys.readouterr().err == f"error: {message}\n"
+                assert main([*command, *files, flag, value, "--rows", "-3", "--out", str(out)]) == 2
+                assert capsys.readouterr().err == "error: rows and cols must be at least 1\n"
     capsys.readouterr()
     assert main(["gen", "--seed", "1", "--noise", "nan", "--out", str(out)]) == 2
     assert "error: noise_sigma must be nonnegative and finite" in capsys.readouterr().err

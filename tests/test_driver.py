@@ -5,7 +5,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from conftest import base_step
+from conftest import base_step, by_formula, full_formula, support_formula, without_reuse
 
 from descentls import objectives
 from descentls.driver import (
@@ -312,13 +312,6 @@ def test_run_matches_iterate_and_support_sets(params):
     np.testing.assert_array_equal(x, trace.final_x)
 
 
-def _fresh_entry(quad, x):
-    """A memo entry made afresh by the full product, with no support: its
-    gradient is A.T e, whatever the size."""
-    e = objectives.matvec(quad.A, x) - quad.b
-    return [None, e, 0.5 * float(e.dot(e)), None]
-
-
 def _generated_case(spec):
     a, b, _ = generate_instance(spec)
     step = IHTStep.default(L0LeastSquares(quad=SmoothQuadratic.from_data(a, b), lam=0.01))
@@ -335,111 +328,104 @@ def _underflow_case():
 @pytest.mark.parametrize("spec", [InstanceSpec(32, 64, 4, 0.01, seed) for seed in (1, 9, 42)]
                          + [InstanceSpec(256, 512, 32, 0.01, 1), None],
                          ids=["32x64-1", "32x64-9", "32x64-42", "256x512-1", "1x1-underflow"])
-def test_products_per_run_follow_the_cost_model(monkeypatch, spec):
-    # Count the products themselves: objectives looks matvec and
-    # transpose_matvec up as module globals at call time.  The trials are
-    # what the search evaluated: a run calls value 2 * iters + trials + 1
-    # times.  Then rerun with the whole memo bypassed, residual and value
-    # alike, which must change no bit of the run.
+def test_products_per_run_follow_the_cost_model(monkeypatch, products, spec):
+    # The trials are what the search evaluated: a run calls value
+    # 2 * iters + trials + 1 times.  Then rerun with no call reusing
+    # another's residual or f, which must change no bit of the run.
     step, x0 = _underflow_case() if spec is None else _generated_case(spec)
     params = LineSearchParams()
-    counts = {}
-
-    def counting(name, fn):
-        def wrapped(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapped
+    products.watch("value")
 
     def record_trials(records):
         return sum(params.cap + 1 if r.m_k == ARMIJO_FAILED else r.m_k + 1 for r in records)
 
     for variant in (None, params):
-        with monkeypatch.context() as m:
-            m.setattr(objectives, "matvec", counting("A", objectives.matvec))
-            m.setattr(objectives, "transpose_matvec", counting("AT", objectives.transpose_matvec))
-            m.setattr(type(step.prob), "value", counting("value", type(step.prob).value))
-            counts.update(A=0, AT=0, value=0)
-            trace = run(x0, step, variant, StopCriteria())
+        products.clear()
+        trace = run(x0, step, variant, StopCriteria())
         iters = len(trace.records)
-        trials = counts["value"] - 2 * iters - 1
-        assert counts["AT"] == iters + 1
+        trials = len(products.calls) - 2 * iters - 1
+        assert products.count("transpose_matvec") == iters + 1
         if variant is None:
-            assert trials == 0 and counts["A"] == iters + 1
+            assert trials == 0 and products.count("matvec") == iters + 1
         else:
             # Only an exactly zero d skips the search, and its row has d_norm == 0.
             assert record_trials(r for r in trace.records if r.d_norm > 0.0) <= trials <= record_trials(trace.records)
-            assert counts["A"] <= 2 * iters + trials + 1
+            assert products.count("matvec") <= 2 * iters + trials + 1
         with monkeypatch.context() as m:
-            # A complete fresh entry per call: no call reuses another's residual or f.
-            m.setattr(SmoothQuadratic, "_entry", _fresh_entry)
+            without_reuse(m)
             fresh = run(x0, step, variant, StopCriteria())
         assert repr([astuple(r) for r in fresh.records]) == repr([astuple(r) for r in trace.records])
         assert fresh.final_x.tobytes() == trace.final_x.tobytes() and fresh.final_phi == trace.final_phi
 
 
-def test_products_at_a_gathered_size_follow_the_cost_model(monkeypatch):
+def test_products_at_a_gathered_size_follow_the_cost_model(monkeypatch, products):
     # 256x2048 passes the support-column rule, so a miss multiplies only the
     # nonzero columns of x: a product reads fewer columns but still counts
     # as one.  A gradient whose support has at most GRAM_MAX_SUPPORT indices
-    # sums cached Gram columns instead of multiplying by A.T, so the
-    # products with A.T are one A^T b, one column build per distinct index
-    # of such a support, over both runs on the one objective (256 columns
-    # fit the cache), and one A.T e per larger support.  Traces move at the
-    # rounding level, so each variant is held to a run that multiplies every
-    # column on every call.
-    spec = InstanceSpec(256, 2048, 4, 0.01, seed=1)
-    a, b, _ = generate_instance(spec)
-    step = ProxGradientStep.default(L0LeastSquares(quad=SmoothQuadratic.from_data(a, b), lam=0.01))
+    # sums cached Gram columns instead of multiplying by A.T: it builds
+    # A^T b on the objective's first such gradient and one column per index
+    # that no earlier one had (256 columns fit the cache, over both runs on
+    # the one objective), and a larger support makes one A.T e.  So no
+    # gradient makes more than 1 + min(GRAM_MAX_SUPPORT, m) products with
+    # A.T.  A call on the last call's point makes no product with A, and
+    # any other call exactly one.  At sparsity 4 every gradient takes the
+    # Gram form; at sparsity 12, seed 3, supports fall on both sides of the
+    # cap.  Traces move at the rounding level, so each variant is held to a
+    # run that multiplies every column on every call.
     params = LineSearchParams()
-    counts = {"AT": 0}
-    seen = set()  # support indices of every Gram-form gradient point so far
-    over = []  # gradient points whose support is too large for the Gram form
-    grad = SmoothQuadratic.grad
-
-    def counting(name, fn):
-        def wrapped(m, v):
-            counts[name] += 1
-            counts["gathered"] += m.shape[1] < spec.cols
-            return fn(m, v)
-        return wrapped
-
-    def recording_grad(self, x):
-        support = np.flatnonzero(x).tolist()
-        if len(support) <= objectives.GRAM_MAX_SUPPORT:
-            seen.update(support)
-        else:
-            over.append(len(support))
-        return grad(self, x)
-
-    for variant in (None, params):
-        with monkeypatch.context() as m:
-            m.setattr(objectives, "matvec", counting("A", objectives.matvec))
-            m.setattr(objectives, "transpose_matvec", counting("AT", objectives.transpose_matvec))
-            m.setattr(SmoothQuadratic, "grad", recording_grad)
-            counts.update(A=0, gathered=0)
+    products.watch("value", "grad")
+    for spec in (InstanceSpec(256, 2048, 4, 0.01, seed=1), InstanceSpec(256, 2048, 12, 0.01, seed=3)):
+        a, b, _ = generate_instance(spec)
+        step = ProxGradientStep.default(L0LeastSquares(quad=SmoothQuadratic.from_data(a, b), lam=0.01))
+        cap = min(objectives.GRAM_MAX_SUPPORT, spec.rows)
+        seen = set()  # support indices of every Gram-form gradient point so far
+        atb = False  # whether a Gram-form gradient has built A^T b
+        over = set()  # whether each gradient's support was over the cap
+        last = None
+        for variant in (None, params):
+            products.clear()
             trace = run(np.zeros(spec.cols), step, variant, StopCriteria())
-        iters = len(trace.records)
-        assert 0 < len(seen) <= spec.rows and counts["AT"] == 1 + len(seen) + len(over)
-        assert counts["gathered"] == counts["A"]
-        if variant is None:
-            assert counts["A"] == iters + 1
-        else:
-            trials = sum(params.cap + 1 if r.m_k == ARMIJO_FAILED else r.m_k + 1
-                         for r in trace.records if r.d_norm > 0.0)
-            assert counts["A"] <= 2 * iters + trials + 1
-        with monkeypatch.context() as m:
-            m.setattr(SmoothQuadratic, "_entry", _fresh_entry)
-            full = run(np.zeros(spec.cols), step, variant, StopCriteria())
-        assert trace.stop_reason is full.stop_reason is StopReason.D_TOL
-        assert trace.final_phi == pytest.approx(full.final_phi, rel=1e-9, abs=0.0)
+            for call in products.calls:
+                support = np.flatnonzero(call.x)
+                if last is not None and call.x.tobytes() == last.x.tobytes():
+                    assert call.count("matvec") == 0
+                else:
+                    gathered = objectives.GATHER_COLS_PER_NONZERO * support.size <= spec.cols
+                    assert call.count("matvec") == 1
+                    assert call.products[0] == ("matvec", support.size if gathered else spec.cols)
+                last = call
+                if call.method == "grad":
+                    builds = call.count("transpose_matvec")
+                    assert builds <= 1 + cap
+                    over.add(support.size > cap)
+                    if support.size > cap:
+                        assert builds == 1
+                    else:
+                        new = set(support.tolist()) - seen
+                        assert builds == (not atb) + len(new)
+                        seen |= new
+                        atb = True
+            iters = len(trace.records)
+            if variant is None:
+                assert products.count("matvec") == iters + 1
+            else:
+                trials = sum(params.cap + 1 if r.m_k == ARMIJO_FAILED else r.m_k + 1
+                             for r in trace.records if r.d_norm > 0.0)
+                assert products.count("matvec") <= 2 * iters + trials + 1
+            with monkeypatch.context() as m:
+                by_formula(m, full_formula)
+                full = run(np.zeros(spec.cols), step, variant, StopCriteria())
+            assert trace.stop_reason is full.stop_reason is StopReason.D_TOL
+            assert trace.final_phi == pytest.approx(full.final_phi, rel=1e-9, abs=0.0)
+        assert 0 < len(seen) <= spec.rows
+        assert over == ({False} if spec.sparsity == 4 else {False, True})
 
 
 def _records(trace):
     return repr([astuple(r) for r in trace.records]), trace.final_x.tobytes(), trace.final_phi
 
 
-def test_gram_gradients_of_a_run_are_accurate_and_independent_of_the_cache(monkeypatch):
+def test_gram_gradients_of_a_run_are_accurate_and_independent_of_the_cache(products):
     # At 256x2048, sparsity 4, no gradient point of a run has more than
     # GRAM_MAX_SUPPORT nonzeros, so every gradient sums cached Gram
     # columns.  Each must lie within the forward-error bound of a product
@@ -461,19 +447,10 @@ def test_gram_gradients_of_a_run_are_accurate_and_independent_of_the_cache(monke
     def fresh_quad():
         return SmoothQuadratic(A=a, b=b, lipschitz=lipschitz)
 
-    points = []
-    grad = SmoothQuadratic.grad
-
-    def recording_grad(self, x):
-        g = grad(self, x)
-        points.append((x, g))
-        return g
-
-    fresh = {}
-    with monkeypatch.context() as m:
-        m.setattr(SmoothQuadratic, "grad", recording_grad)
-        for variant in (None, PARAMS):
-            fresh[variant] = _records(run(np.zeros(spec.cols), step_on(fresh_quad()), variant, StopCriteria()))
+    products.watch("grad")
+    fresh = {variant: _records(run(np.zeros(spec.cols), step_on(fresh_quad()), variant, StopCriteria()))
+             for variant in (None, PARAMS)}
+    points = [(call.x, call.result) for call in products.calls]
     assert max(np.count_nonzero(x) for x, _ in points) <= objectives.GRAM_MAX_SUPPORT
     u = np.finfo(np.float64).eps / 2
     gamma = (a.shape[0] + a.shape[1] + 1) * u / (1 - (a.shape[0] + a.shape[1] + 1) * u)
@@ -486,19 +463,26 @@ def test_gram_gradients_of_a_run_are_accurate_and_independent_of_the_cache(monke
 
     # The first order builds A^T b and one column per support index seen;
     # the second then runs on cache hits alone and builds nothing.
-    builds = []
-    monkeypatch.setattr(objectives, "transpose_matvec", lambda m, v: builds.append(1) or m.T.dot(v))
     shared = fresh_quad()
     seen = {j for x, _ in points for j in np.flatnonzero(x).tolist()}
     for order, built in (((PARAMS, None), 1 + len(seen)), ((None, PARAMS), 0)):
-        builds.clear()
+        products.clear()
         for variant in order:
             assert _records(run(np.zeros(spec.cols), step_on(shared), variant, StopCriteria())) == fresh[variant]
-        assert len(builds) == built
-    atb, columns = shared._gram
-    assert atb.tobytes() == a.T.dot(b).tobytes() and sorted(columns) == sorted(seen)
-    for j, column in columns.items():
-        assert column.tobytes() == a.T.dot(np.ascontiguousarray(a[:, j])).tobytes()
+        assert products.count("transpose_matvec") == built
+    # So the shared objective holds A^T b and the column of every index seen,
+    # each with the bits of a fresh build, and no other column.
+    for j in sorted(seen):
+        x = np.zeros(spec.cols)
+        x[j] = 1.0
+        products.clear()
+        assert shared.grad(x).tobytes() == support_formula(shared, "grad", x).tobytes()
+        assert products.count("transpose_matvec") == 0
+    x = np.zeros(spec.cols)
+    x[min(set(range(spec.cols)) - seen)] = 1.0
+    products.clear()
+    shared.grad(x)
+    assert products.count("transpose_matvec") == 1
 
 
 def test_runs_across_the_gram_cap_reproduce_on_a_fresh_objective():
@@ -527,41 +511,28 @@ def test_runs_across_the_gram_cap_reproduce_on_a_fresh_objective():
 @pytest.mark.parametrize("variant", [None, PARAMS], ids=["plain", "search"])
 @pytest.mark.parametrize("smooth", [False, True], ids=["l0", "smooth"])
 @pytest.mark.parametrize("spec", [InstanceSpec(32, 64, 4, 0.01, seed) for seed in (1, 9, 42)]
-                         + [InstanceSpec(256, 512, 32, 0.01, 1)], ids=["32x64-1", "32x64-9", "32x64-42", "256x512-1"])
-def test_every_memo_entry_of_a_run_is_read_by_value(monkeypatch, spec, smooth, variant):
+                         + [InstanceSpec(256, 512, 32, 0.01, 1), InstanceSpec(256, 2048, 4, 0.01, 1),
+                            InstanceSpec(256, 2048, 12, 0.01, 3)],
+                         ids=["32x64-1", "32x64-9", "32x64-42", "256x512-1", "256x2048-4-1", "256x2048-12-3"])
+def test_every_memo_entry_of_a_run_is_read_by_value(products, spec, smooth, variant):
     # A miss computes f with the residual, which costs nothing extra only
     # while `value` reads every entry before the next miss.  A loop change
-    # that made an entry only `grad` reads would pay a dot nobody uses.
+    # that made an entry only `grad` reads would pay a dot nobody uses.  A
+    # call missed exactly when it made a product with A.  The two 256x2048
+    # instances pass the support-column rule: at sparsity 4 every l0
+    # gradient takes the Gram form, at sparsity 12 supports fall on both
+    # sides of its cap.
     a, b, _ = generate_instance(spec)
     quad = SmoothQuadratic.from_data(a, b)
     step = ProxGradientStep.default(quad if smooth else L0LeastSquares(quad=quad, lam=0.01))
-    calls = []  # [method name, whether its call missed the memo]
-    entry = SmoothQuadratic._entry
-
-    def tracked_entry(self, x):
-        key = self._memo[0]
-        result = entry(self, x)
-        calls[-1][1] = result[0] is not key
-        return result
-
-    def tracked(name):
-        method = getattr(SmoothQuadratic, name)
-
-        def wrapped(self, x):
-            calls.append([name, False])
-            return method(self, x)
-        return wrapped
-
-    monkeypatch.setattr(SmoothQuadratic, "_entry", tracked_entry)
-    for name in ("value", "grad"):
-        monkeypatch.setattr(SmoothQuadratic, name, tracked(name))
+    products.watch("value", "grad")
     run(np.zeros(spec.cols), step, variant, StopCriteria())
     readers = []  # per memo entry, the methods that read it
-    for name, missed in calls:
-        if missed:
+    for call in products.calls:
+        if call.count("matvec"):
             readers.append(set())
-        readers[-1].add(name)
-    assert calls[0][1] and len(readers) > 2
+        readers[-1].add(call.method)
+    assert products.calls[0].count("matvec") and len(readers) > 2
     assert all("value" in names for names in readers)
 
 

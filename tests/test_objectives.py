@@ -3,13 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import base_step, residual_at
+from conftest import base_step, full_formula, residual_at, support_formula
 
 from descentls import objectives
 from descentls.diagnostics import run_diagnostics
 from descentls.driver import LineSearchParams, StopCriteria, run
 from descentls.instances import InstanceSpec, generate_instance
-from descentls.linalg import DimensionMismatch, matvec
+from descentls.linalg import DimensionMismatch
 from descentls.objectives import L0LeastSquares, Objective, SmoothQuadratic
 from descentls.steps import IHTStep, ProxGradientStep
 
@@ -203,16 +203,6 @@ def _bits(result):
     return result.hex() if type(result) is float else result.tobytes()
 
 
-def _memo_free(quad, name, x):
-    """`value` or `grad` by the formulas without a memo: with r = b - A x,
-    f = r.r / 2 and the gradient A.T (A x - b)."""
-    ax = quad.A.dot(x)
-    if name == "value":
-        r = quad.b - ax
-        return 0.5 * float(r.dot(r))
-    return quad.A.T.dot(ax - quad.b)
-
-
 @pytest.mark.parametrize("second", ["value", "grad"])
 @pytest.mark.parametrize("first", ["value", "grad"])
 def test_memo_keeps_the_bits_of_fresh_calls(first, second):
@@ -226,12 +216,12 @@ def test_memo_keeps_the_bits_of_fresh_calls(first, second):
     sparse = np.full(64, -0.0)
     sparse[[2, 5, 11]] = [1.5, -0.25, 3.0]
     fit = SmoothQuadratic.from_data(a, a.dot(sparse))
-    assert _memo_free(fit, "value", sparse).hex() == "0x0.0p+0"
+    assert full_formula(fit, "value", sparse).hex() == "0x0.0p+0"
     for quad, v in [(SmoothQuadratic.from_data(a, b), x), (SmoothQuadratic.from_data(a, b), -x),
                     (fit, sparse), (fit, x)]:
         got = [getattr(quad, name)(v) for name in (first, second)]
         fresh = [getattr(_fresh(quad), name)(v) for name in (first, second)]
-        reference = [_memo_free(quad, name, v) for name in (first, second)]
+        reference = [full_formula(quad, name, v) for name in (first, second)]
         assert [_bits(r) for r in got] == [_bits(r) for r in fresh] == [_bits(r) for r in reference]
 
 
@@ -287,73 +277,48 @@ def test_replace_starts_an_empty_memo():
     assert quad == _fresh(quad) and "memo" not in repr(quad)
 
 
-def _support_formula(quad, name, x):
-    """`value` or `grad` from the support columns alone: with nz the nonzeros
-    of x and e = A[:, nz] x[nz] - b, f = e.e / 2, and the gradient
-    sum_j x_j G[:, j] - A^T b over j in nz in order, from zero, with each
-    G[:, j] = A.T a_j a product of its own.
-
-    The gathered columns are copied to C order, the layout `take` gives:
-    `A[:, nz]` is F-ordered, and its product runs another BLAS kernel,
-    which rounds differently."""
-    nz = np.flatnonzero(x)
-    if name == "value":
-        e = np.ascontiguousarray(quad.A[:, nz]).dot(x[nz]) - quad.b
-        return 0.5 * float(e.dot(e))
-    g = np.zeros(quad.A.shape[1])
-    for j, xj in zip(nz, x[nz].astype(np.float64)):
-        g += xj * quad.A.T.dot(np.ascontiguousarray(quad.A[:, j]))
-    return g - quad.A.T.dot(quad.b)
-
-
-def _columns_per_product(monkeypatch):
-    """Record the column count of each product with A that objectives makes."""
-    columns = []
-
-    def counted(a, x):
-        columns.append(a.shape[1])
-        return matvec(a, x)
-    monkeypatch.setattr(objectives, "matvec", counted)
-    return columns
-
-
-def test_rule_gathers_exactly_where_it_holds(monkeypatch):
+def test_rule_gathers_exactly_where_it_holds(products):
     # A 256x2048 A has GATHER_MIN_ENTRIES entries, so a miss gathers while
-    # 10 |S| <= 2048; one row fewer and every product is full.
+    # 10 |S| <= 2048; one row fewer and every product is full.  With 2050
+    # columns the rule holds with equality at |S| = 205.
     a, b, _ = generate_instance(InstanceSpec(256, 2048, 8, 0.01, seed=4))
     assert a.size == objectives.GATHER_MIN_ENTRIES and objectives.GATHER_COLS_PER_NONZERO == 10
-    columns = _columns_per_product(monkeypatch)
-    for rows, support, expected in [(256, 204, 204), (256, 205, 2048), (256, 0, 0), (255, 1, 2048)]:
-        x = np.zeros(2048)
+    wide = np.hstack([a, a[:, :2]])
+    for matrix, support, expected in [(a, 204, 204), (a, 205, 2048), (a, 0, 0), (a[:255], 1, 2048),
+                                      (wide, 205, 205), (wide, 206, 2050)]:
+        x = np.zeros(matrix.shape[1])
         x[:2 * support:2] = 1.0
-        SmoothQuadratic.from_data(a[:rows], b[:rows]).value(x)
-        assert columns.pop() == expected
+        quad = SmoothQuadratic.from_data(matrix, b[:matrix.shape[0]], lipschitz=1.0)
+        products.clear()
+        quad.value(x)
+        assert products.made == [("matvec", expected)]
 
 
 @pytest.mark.parametrize("second", ["value", "grad"])
 @pytest.mark.parametrize("first", ["value", "grad"])
-def test_support_columns_keep_the_bits_of_the_support_formula(monkeypatch, first, second):
+def test_support_columns_keep_the_bits_of_the_support_formula(products, first, second):
     # Above the rule a miss multiplies only the nonzero columns of x.  Fresh
     # and from the memo, value and grad must have the bits of the support
     # formula: where x holds -0.0 (not support), at x = 0 (e = -b exactly),
     # with a NaN entry (support, so f is NaN) and on an int64 view, whose
-    # nonzero integers are its support.
+    # nonzero integers are its support.  Of each pair of calls only the
+    # first makes a product with A.
     a, b, _ = generate_instance(InstanceSpec(256, 2048, 8, 0.01, seed=4))
     quad = SmoothQuadratic.from_data(a, b)
     signed = np.full(2048, -0.0)
     signed[[2, 700, 2047]] = [1.5, -0.25, 3.0]
     nan = np.zeros(2048)
     nan[[5, 9]] = [np.nan, 2.0]
-    columns = _columns_per_product(monkeypatch)
     for x, support in [(signed, 3), (-signed, 3), (np.zeros(2048), 0), (nan, 2),
                        (np.abs(signed).view(np.int64), 3)]:
+        products.clear()
         got = [getattr(quad, name)(x) for name in (first, second)]
+        assert [made for made in products.made if made[0] == "matvec"] == [("matvec", support)]
         fresh = [getattr(_fresh(quad), name)(x) for name in (first, second)]
-        reference = [_support_formula(quad, name, x) for name in (first, second)]
+        reference = [support_formula(quad, name, x) for name in (first, second)]
         assert [_bits(r) for r in got] == [_bits(r) for r in fresh] == [_bits(r) for r in reference]
-        assert columns[-2:] == [support, support]
     assert np.isnan(quad.value(nan))
-    np.testing.assert_array_equal(quad._entry(np.zeros(2048))[1], -b)
+    assert quad.value(np.zeros(2048)) == 0.5 * float(b.dot(b))
     np.testing.assert_array_equal(quad.grad(np.zeros(2048)), 0.0 - a.T.dot(b))
     for name in (first, second):
         with pytest.raises(TypeError, match="^x must be a numpy array, got list$"):
@@ -365,10 +330,13 @@ def test_support_columns_keep_the_bits_of_the_support_formula(monkeypatch, first
                 getattr(quad, name)(np.zeros(n))
 
 
-def test_gram_form_takes_supports_up_to_its_cap():
+def test_gram_form_takes_supports_up_to_its_cap(products):
     # The gradient sums Gram columns only while |S| <= min(GRAM_MAX_SUPPORT,
-    # m): 32 at 256x2048, and m = 16 at 16x32768.  One index more takes A.T e
-    # of the gathered residual, with its bits, and builds nothing.
+    # m): 32 at 256x2048, and m = 16 at 16x32768.  On a fresh objective
+    # such a gradient builds A^T b and one column per index, and the next
+    # one on the same support builds nothing.  One index more takes A.T e
+    # of the gathered residual, with its bits, and builds nothing, so the
+    # Gram-form gradient after it builds everything.
     assert objectives.GRAM_MAX_SUPPORT == 32
     rng = np.random.default_rng(3)
     for rows, cols, cap in [(256, 2048, 32), (16, 32768, 16)]:
@@ -378,34 +346,46 @@ def test_gram_form_takes_supports_up_to_its_cap():
             quad = SmoothQuadratic.from_data(a, b, lipschitz=1.0)
             x = np.zeros(cols)
             x[:2 * size:2] = rng.uniform(0.5, 1.5, size)
+            products.clear()
             g = quad.grad(x)
             if size == cap:
-                assert g.tobytes() == _support_formula(quad, "grad", x).tobytes()
-                assert sorted(quad._gram[1]) == list(range(0, 2 * size, 2))
+                assert g.tobytes() == support_formula(quad, "grad", x).tobytes()
+                assert products.count("transpose_matvec") == 1 + cap
             else:
                 e = a[:, :2 * size:2].copy().dot(x[:2 * size:2]) - b
-                assert g.tobytes() == a.T.dot(e).tobytes() and quad._gram == [None, {}]
+                assert g.tobytes() == a.T.dot(e).tobytes() and products.count("transpose_matvec") == 1
+            x = np.zeros(cols)
+            x[:2 * cap:2] = rng.uniform(0.5, 1.5, cap)
+            products.clear()
+            assert quad.grad(x).tobytes() == support_formula(quad, "grad", x).tobytes()
+            assert products.count("transpose_matvec") == (0 if size == cap else 1 + cap)
 
 
-def test_column_cache_holds_at_most_m_columns_and_keeps_the_bits():
+def test_column_cache_holds_at_most_m_columns_and_keeps_the_bits(products):
     # At 64x8192 the cache holds at most m = 64 columns, the bytes of A.
     # Two disjoint supports of 32 fill it; a third whose 16 new columns do
     # not fit beside them drops the cached columns outside it, and a support
-    # of 33 columns takes A.T e and leaves the cache alone.  Each gradient
-    # keeps the bits of a fresh objective and the accuracy of A.T (A x - b).
+    # of 33 columns takes A.T e and leaves the cache alone.  A cached column
+    # is a build that does not happen, and a dropped one is built again
+    # when its index returns: the third support then builds nothing, the
+    # first all its 32 columns, and the second the 16 the third did not
+    # keep.  Each gradient keeps the bits of a fresh objective and the
+    # accuracy of A.T (A x - b).
     rng = np.random.default_rng(7)
     a = rng.standard_normal((64, 8192)) / 8.0
     b = rng.standard_normal(64)
     quad = SmoothQuadratic.from_data(a, b)
-    supports = [range(0, 4096, 128), range(4096, 8192, 128),
-                sorted([*range(4096, 6144, 128), *range(64, 2112, 128)]), range(33)]
-    cached = [supports[0], [*supports[0], *supports[1]], supports[2], supports[2]]
-    for support, expected in zip(supports, cached):
+    first, second = range(0, 4096, 128), range(4096, 8192, 128)
+    third = sorted([*range(4096, 6144, 128), *range(64, 2112, 128)])
+    for support, builds in [(first, 1 + 32), (second, 32), (third, 16), (range(33), 1),
+                            (third, 0), (first, 32), (second, 16)]:
         x = np.zeros(8192)
         x[list(support)] = rng.uniform(0.5, 1.5, len(support))
+        products.clear()
         g = quad.grad(x)
-        assert sorted(quad._gram[1]) == sorted(expected)
+        assert products.count("transpose_matvec") == builds
         assert g.tobytes() == _fresh(quad).grad(x).tobytes()
         np.testing.assert_allclose(g, a.T.dot(a.dot(x) - b), rtol=0.0, atol=1e-12)
-    e = a[:, :33].copy().dot(x[:33]) - b
-    assert g.tobytes() == a.T.dot(e).tobytes()
+        if len(support) == 33:
+            e = a[:, :33].copy().dot(x[:33]) - b
+            assert g.tobytes() == a.T.dot(e).tobytes()
