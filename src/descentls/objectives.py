@@ -46,8 +46,9 @@ class Objective(Protocol):
     `prox`, `nu` and `support_mask` make none.  A call on the last call's
     point makes no product with A.  A product with A.T reads all of A; one
     with A reads all of A or, where the support-column rule of
-    `SmoothQuadratic` holds, only the |S| columns of the support of x.
-    `driver` states what a run costs.
+    `SmoothQuadratic` holds, only the |S| columns of the support of x: those
+    of its kept copy A[:, S] when that copy is of the same support, else
+    those of A, copied.  `driver` states what a run costs.
 
     An objective has a support exactly when `support_mask` returns a mask,
     not None; the solve loop and the diagnostics both ask it.  Such an
@@ -79,7 +80,7 @@ class Objective(Protocol):
 class SmoothQuadratic:
     """f(x) = 1/2 ||b - A x||^2 with a cached gradient-Lipschitz constant.
 
-    It reuses work in three ways, and none makes a result depend on what
+    It reuses work in four ways, and none makes a result depend on what
     the objective computed before: each result is a function of x alone.
 
     The memo: `value` and `grad` share the last point's key (the dtype,
@@ -104,6 +105,14 @@ class SmoothQuadratic:
     crossover.  The product depends only on A's size and x; it differs
     from the full product at the rounding level.
 
+    The kept copy: the gathered columns A[:, S] are kept, keyed by the
+    bytes of the indices S, until a miss gathers for another support.  So
+    the Armijo trials of a row, whose points share one support, and the
+    rows after the support settles multiply one copy, and a copy is made
+    only when S differs from that of the last gathered product.  It is the
+    copy `A.take` makes, so a kept one changes no bit.  It holds at most
+    m * n / GATHER_COLS_PER_NONZERO floats, a tenth of A.
+
     The Gram-column gradient: where the rule held for x and also
     |S| <= min(GRAM_MAX_SUPPORT, m), grad f(x) = G[:, S] x_S - A^T b with
     G[:, j] = A^T a_j; a larger support takes A.T e.  A column of the
@@ -125,7 +134,7 @@ class SmoothQuadratic:
     must carry that term.
 
     `A` and `b` must not be mutated after construction; `lipschitz`, the
-    memo and the column cache all assume that.
+    memo, the kept copy and the column cache all assume that.
     """
 
     A: np.ndarray
@@ -138,6 +147,9 @@ class SmoothQuadratic:
     _memo: list = field(default_factory=lambda: [None, None, None, None], init=False, compare=False, repr=False)
     # [A^T b, {j: G[:, j]}], both built by `grad` on first use.
     _gram: list = field(default_factory=lambda: [None, {}], init=False, compare=False, repr=False)
+    # [bytes of the support indices S, A[:, S]], replaced whole when a
+    # gathered product meets another support.
+    _gathered: list = field(default_factory=lambda: [None, None], init=False, compare=False, repr=False)
 
     @classmethod
     def from_data(cls, A, b, lipschitz: Optional[float] = None) -> "SmoothQuadratic":
@@ -163,8 +175,10 @@ class SmoothQuadratic:
             if a.size >= GATHER_MIN_ENTRIES and x.shape[0] == a.shape[1]:
                 support = np.flatnonzero(x)
                 if GATHER_COLS_PER_NONZERO * support.size <= a.shape[1]:
-                    nz = support
-                    a, x = a.take(nz, axis=1), x[nz]
+                    nz, gathered = support, self._gathered
+                    if nz.tobytes() != gathered[0]:
+                        gathered[:] = nz.tobytes(), a.take(nz, axis=1)
+                    a, x = gathered[1], x[nz]
             e = matvec(a, x) - self.b
             memo[:] = key, e, 0.5 * float(e.dot(e)), nz
         return memo

@@ -94,13 +94,15 @@ def by_formula(monkeypatch, formula):
 
 
 class Call(NamedTuple):
-    """One watched call: the method's name, a copy of its x, its result and
-    the products it made, as `Products.made` records them."""
+    """One watched call: the method's name, a copy of its x, its result, and
+    the products it made and their operands, as `Products.made` and
+    `Products.operands` record them."""
 
     method: str
     x: np.ndarray
     result: object
     products: list
+    operands: list
 
     def count(self, function: str) -> int:
         return sum(name == function for name, _ in self.products)
@@ -111,14 +113,18 @@ class Products:
 
     `objectives` looks `matvec` and `transpose_matvec` up as module globals
     at call time, so wrapping them sees each product whatever the objective
-    keeps.  `made` holds (function name, columns of A read) per product: a
-    gathered `matvec` reads |S| columns, any other product all n.  So what
-    `SmoothQuadratic` reuses shows as products that did not happen: a memo
-    hit is a call that makes no product with A, a cached Gram column a build
-    that does not happen, and a dropped one a build when its index returns."""
+    keeps.  `made` holds (function name, columns of A read) per product, and
+    `operands` the matrix each multiplied, in the same order: a gathered
+    `matvec` reads the |S| columns of the objective's copy A[:, S], any
+    other product all n of A.  So what `SmoothQuadratic` reuses shows as
+    products that did not happen, or as an operand met before: a memo hit
+    is a call that makes no product with A, a cached Gram column a build
+    that does not happen, a dropped one a build when its index returns, and
+    a kept copy of the support columns the operand of an earlier product."""
 
     def __init__(self, monkeypatch):
         self.made = []
+        self.operands = []
         self.calls = []
         self._monkeypatch = monkeypatch
         for name in ("matvec", "transpose_matvec"):
@@ -127,6 +133,7 @@ class Products:
     def _recorded(self, name, product):
         def recorded(a, v):
             self.made.append((name, a.shape[1]))
+            self.operands.append(a)
             return product(a, v)
         return recorded
 
@@ -135,6 +142,7 @@ class Products:
 
     def clear(self) -> None:
         self.made.clear()
+        self.operands.clear()
         self.calls.clear()
 
     def watch(self, *methods: str) -> None:
@@ -145,7 +153,7 @@ class Products:
             def watched(quad, x, name=name, method=method):
                 start = len(self.made)
                 result = method(quad, x)
-                self.calls.append(Call(name, x.copy(), result, self.made[start:]))
+                self.calls.append(Call(name, x.copy(), result, self.made[start:], self.operands[start:]))
                 return result
             self._monkeypatch.setattr(SmoothQuadratic, name, watched)
 

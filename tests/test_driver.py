@@ -421,6 +421,40 @@ def test_products_at_a_gathered_size_follow_the_cost_model(monkeypatch, products
         assert over == ({False} if spec.sparsity == 4 else {False, True})
 
 
+@pytest.mark.parametrize("spec", [InstanceSpec(256, 2048, 4, 0.01, seed=1), InstanceSpec(256, 2048, 12, 0.01, seed=3)],
+                         ids=["256x2048-4-1", "256x2048-12-3"])
+def test_gathered_products_reuse_one_copy_while_the_support_holds(products, spec):
+    # 256x2048 passes the support-column rule, so a miss multiplies a copy
+    # of the support columns A[:, S] that the objective keeps until a
+    # gathered product meets another support.  The Armijo trials of a row,
+    # the value calls after Phi(x) and Phi(y), lie on one support, so they
+    # all multiply one copy, and a settled support keeps its copy from row
+    # to row.
+    a, b, _ = generate_instance(spec)
+    step = ProxGradientStep.default(L0LeastSquares(quad=SmoothQuadratic.from_data(a, b), lam=0.01))
+    products.watch("value", "grad")
+    trace = run(np.zeros(spec.cols), step, PARAMS, StopCriteria())
+    rows = []  # per row, its value calls; a gradient call starts the next row
+    gathered = []  # per gathered product, the support of its point and its operand
+    for call in products.calls:
+        if call.method == "grad":
+            rows.append([])
+        else:
+            rows[-1].append(call)
+        # Every other product, with A or A.T, multiplies A itself.
+        gathered += [(np.flatnonzero(call.x).tobytes(), operand) for operand in call.operands if operand is not a]
+    searched = 0  # rows whose trials made more than one product
+    for calls in rows[:len(trace.records)]:
+        trials = calls[2:]
+        assert len({id(operand) for call in trials for operand in call.operands}) <= 1
+        searched += sum(call.count("matvec") for call in trials) > 1
+    assert searched > 0
+    for (previous, kept), (support, operand) in zip([(None, None)] + gathered, gathered):
+        assert (operand is kept) == (support == previous)
+        assert operand.tobytes() == a[:, np.frombuffer(support, dtype=np.intp)].tobytes()
+    assert len(gathered) > 4 * len({id(operand) for _, operand in gathered})
+
+
 def _records(trace):
     return repr([astuple(r) for r in trace.records]), trace.final_x.tobytes(), trace.final_phi
 

@@ -266,15 +266,24 @@ def test_memo_is_keyed_on_dtype_and_shape_not_bytes_alone():
                     getattr(quad, name)(bad)
 
 
-def test_replace_starts_an_empty_memo():
-    a, b, _ = generate_instance(InstanceSpec(8, 16, 2, 0.01, seed=4))
-    quad = SmoothQuadratic.from_data(a, b)
-    x = np.linspace(-1.0, 1.0, 16)
-    quad.value(x)
-    doubled = replace(quad, A=2.0 * a)
-    assert doubled.value(x) == _fresh(doubled).value(x) != quad.value(x)
-    np.testing.assert_array_equal(doubled.grad(x), _fresh(doubled).grad(x))
-    assert quad == _fresh(quad) and "memo" not in repr(quad)
+def test_replace_starts_an_empty_memo(products):
+    # `dataclasses.replace` reuses nothing: not the memo, and at 256x2048,
+    # where a miss multiplies a kept copy of the support columns, not that
+    # copy either, though x has the support it was made for.
+    sparse = np.zeros(2048)
+    sparse[[3, 700, 2000]] = [1.5, -0.25, 3.0]
+    for rows, x, read in [(8, np.linspace(-1.0, 1.0, 16), 16), (256, sparse, 3)]:
+        a, b, _ = generate_instance(InstanceSpec(rows, x.size, 2, 0.01, seed=4))
+        quad = SmoothQuadratic.from_data(a, b)
+        products.clear()
+        quad.value(x)
+        doubled = replace(quad, A=2.0 * a)
+        assert doubled.value(x) == _fresh(doubled).value(x) != quad.value(x)
+        np.testing.assert_array_equal(doubled.grad(x), _fresh(doubled).grad(x))
+        assert quad == _fresh(quad) and "memo" not in repr(quad)
+        mine, its = products.operands[:2]
+        assert products.made[:2] == [("matvec", read)] * 2
+        assert its is not mine and its.tobytes() == (2.0 * mine).tobytes()
 
 
 def test_rule_gathers_exactly_where_it_holds(products):
@@ -302,15 +311,17 @@ def test_support_columns_keep_the_bits_of_the_support_formula(products, first, s
     # formula: where x holds -0.0 (not support), at x = 0 (e = -b exactly),
     # with a NaN entry (support, so f is NaN) and on an int64 view, whose
     # nonzero integers are its support.  Of each pair of calls only the
-    # first makes a product with A.
+    # first makes a product with A.  A shift of x comes between x and -x:
+    # its support has the same size and other indices, so a copy of the
+    # support columns kept for its size would serve the wrong columns.
     a, b, _ = generate_instance(InstanceSpec(256, 2048, 8, 0.01, seed=4))
     quad = SmoothQuadratic.from_data(a, b)
     signed = np.full(2048, -0.0)
     signed[[2, 700, 2047]] = [1.5, -0.25, 3.0]
     nan = np.zeros(2048)
     nan[[5, 9]] = [np.nan, 2.0]
-    for x, support in [(signed, 3), (-signed, 3), (np.zeros(2048), 0), (nan, 2),
-                       (np.abs(signed).view(np.int64), 3)]:
+    for x, support in [(signed, 3), (np.roll(signed, -1), 3), (-signed, 3), (np.zeros(2048), 0),
+                       (nan, 2), (np.abs(signed).view(np.int64), 3)]:
         products.clear()
         got = [getattr(quad, name)(x) for name in (first, second)]
         assert [made for made in products.made if made[0] == "matvec"] == [("matvec", support)]
