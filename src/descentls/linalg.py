@@ -6,7 +6,10 @@ of operations the solvers need, including the exact ||A||^2 that sets
 step sizes, and the CSV files of matrices and vectors.  `save_matrix`
 writes next to a matrix CSV a binary twin that carries the matrix and its
 ||A||^2, so that `load_matrix` skips both the parse and the eigensolve
-while the CSV is unchanged.
+while the CSV is unchanged.  The twin's two digests are hash lists: the
+sha256 of a short prefix followed by the sha256 of each 1 MiB leaf of the
+file they cover.  So `load_matrix` checks large files on every usable CPU,
+and the digests do not depend on how many it had.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numbers
 import os
 import struct
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -118,17 +122,23 @@ def spectral_norm_sq(a: np.ndarray) -> float:
 _FMT = "%.17g"
 # Values formatted per write: a block holds whole rows, at least one.
 _BLOCK_VALUES = 1024
-# Bytes read per call when hashing a CSV, which is never held whole.
-_HASH_CHUNK = 1 << 20
+# The twin's digests hash the sha256 of each leaf of this many bytes, the
+# last leaf shorter; the size is part of the format.
+LEAF_BYTES = 1 << 20
+# Fewest leaves, CSV and payload together, that `load_matrix` hashes on a
+# thread pool rather than on the calling thread; README "Costs" derives it.
+THREADED_MIN_LEAVES = 8
 
 # The binary twin of a matrix CSV: tag, rows, cols, spectral_norm_sq of
-# the payload (NaN when it overflows), sha256 of the CSV bytes, sha256 of
-# the norm's 8 bytes followed by the payload, then the payload,
-# little-endian float64 in C order.
-_TWIN_TAG = b"DLSF64v2"
+# the payload (NaN when it overflows), the CSV digest, the payload digest,
+# then the payload, little-endian float64 in C order.  The CSV digest is
+# sha256(uint64 byte count, leaf digests), the payload digest sha256(the
+# norm's 8 bytes, leaf digests); see `_hash_list`.
+_TWIN_TAG = b"DLSF64v3"
 _TWIN_HEADER = struct.Struct("<8sQQ8s32s32s")
 _TWIN_DTYPE = np.dtype("<f8")
 _NORM = struct.Struct("<d")
+_COUNT = struct.Struct("<Q")
 
 
 def aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
@@ -150,63 +160,142 @@ def twin_path(path) -> str:
     return os.fspath(path) + ".f64"
 
 
+def _hash_list(prefix: bytes, leaves: list[bytes]) -> bytes:
+    """Return sha256(prefix followed by the leaf digests), a twin digest."""
+    return hashlib.sha256(prefix + b"".join(leaves)).digest()
+
+
 def _write_csv(rows: np.ndarray, path, delimiter: str) -> bytes:
     """Write a 2-D array as `np.savetxt(path, rows, fmt=_FMT, delimiter=delimiter)`
-    does, byte for byte; return the sha256 of the bytes written.
+    does, byte for byte; return the CSV digest of the bytes written.
 
     Rows are formatted a block at a time from Python floats, which format
     as the numpy scalars `savetxt` formats, with less dispatch per value.
+    Each block is hashed into its leaves as it is written.
     """
     n_rows, n_cols = rows.shape
     line = delimiter.join([_FMT] * n_cols) + "\n"
     per_block = max(1, _BLOCK_VALUES // n_cols)
-    digest = hashlib.sha256()
+    leaves, leaf, filled, size = [], hashlib.sha256(), 0, 0
     with open(path, "wb") as fh:
         for i in range(0, n_rows, per_block):
             block = rows[i:i + per_block]
             text = ((line * len(block)) % tuple(block.ravel().tolist())).encode("ascii")
-            digest.update(text)
             fh.write(text)
-    return digest.digest()
+            size += len(text)
+            rest = memoryview(text)
+            while rest:
+                part = rest[:LEAF_BYTES - filled]
+                leaf.update(part)
+                filled += len(part)
+                rest = rest[len(part):]
+                if filled == LEAF_BYTES:
+                    leaves.append(leaf.digest())
+                    leaf, filled = hashlib.sha256(), 0
+    if filled:
+        leaves.append(leaf.digest())
+    return _hash_list(_COUNT.pack(size), leaves)
 
 
-def _file_sha256(path) -> bytes:
-    digest = hashlib.sha256()
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _read_leaves(path, offset: int, size: int, into: Optional[memoryview], leaves: range,
+                 buf: memoryview) -> list[bytes]:
+    """Return the sha256 of each of `leaves`, numbered in the `size` bytes
+    at `offset` of the file at `path`.
+
+    Each leaf is read into its place in `into`, or into `buf` when `into`
+    is None.  A leaf that the file ends inside is hashed as far as it was
+    read.
+    """
+    digests = []
     with open(path, "rb", buffering=0) as fh:
-        while chunk := fh.read(_HASH_CHUNK):
-            digest.update(chunk)
-    return digest.digest()
+        fh.seek(offset + leaves.start * LEAF_BYTES)
+        for start in range(leaves.start * LEAF_BYTES, leaves.stop * LEAF_BYTES, LEAF_BYTES):
+            n = min(LEAF_BYTES, size - start)
+            leaf = buf[:n] if into is None else into[start:start + n]
+            got = 0
+            while got < n and (read := fh.readinto(leaf[got:])):
+                got += read
+            digests.append(hashlib.sha256(leaf[:got]).digest())
+    return digests
+
+
+def _read_run(parts: list[tuple], run: list[tuple[int, range]], buf: memoryview) -> list[tuple[int, list[bytes]]]:
+    return [(i, _read_leaves(*parts[i], leaves, buf)) for i, leaves in run]
+
+
+def _hash_files(parts: list[tuple]) -> list[list[bytes]]:
+    """Return the leaf digests of each `(path, offset, size, into)` part,
+    read as `_read_leaves` reads them.
+
+    The leaves, numbered across the parts in order, are read in contiguous
+    runs: one on the calling thread when there are fewer than
+    THREADED_MIN_LEAVES or one CPU is usable, else one per usable CPU (and
+    no more than leaves) on a thread pool that is joined before this
+    returns.  Each run reads the parts without `into` through a buffer of
+    its own, of one leaf or the largest such part if smaller, allocated on
+    the calling thread so that it returns to that thread's heap.
+    """
+    counts = [-(-part[2] // LEAF_BYTES) for part in parts]
+    total = sum(counts)
+    threads = 1 if total < THREADED_MIN_LEAVES else min(_usable_cpus(), total)
+    runs, buffers = [], []
+    for k in range(threads):
+        lo, hi = total * k // threads, total * (k + 1) // threads
+        run, first = [], 0
+        for i, count in enumerate(counts):
+            if leaves := range(max(lo - first, 0), min(hi - first, count)):
+                run.append((i, leaves))
+            first += count
+        runs.append(run)
+        buffered = [parts[i][2] for i, _ in run if parts[i][3] is None]
+        buffers.append(memoryview(np.empty(min(LEAF_BYTES, max(buffered, default=0)), dtype=np.uint8)))
+    if threads == 1:
+        done = [_read_run(parts, runs[0], buffers[0])]
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            done = list(pool.map(_read_run, [parts] * threads, runs, buffers))
+    digests = [[] for _ in parts]
+    for run in done:
+        for i, leaves in run:
+            digests[i] += leaves
+    return digests
 
 
 def _load_twin(path) -> Optional[tuple[np.ndarray, Optional[float]]]:
     """Return the matrix in the twin of the CSV at `path` and its carried
     norm (None for NaN), or None unless the twin has the right tag, a
-    positive shape its size matches, the sha256 of the CSV as it is now,
-    and the sha256 of its norm and payload.
+    positive shape its size matches, the digest of the CSV as it is now,
+    and the digest of its norm and payload.
 
-    The payload is allocated only after the size check.
+    The payload is allocated only after the size check, and read straight
+    into the matrix while the CSV is hashed (see `_hash_files`).
     """
+    twin = twin_path(path)
     try:
-        with open(twin_path(path), "rb", buffering=0) as fh:
+        with open(twin, "rb", buffering=0) as fh:
             header = fh.read(_TWIN_HEADER.size)
-            if len(header) != _TWIN_HEADER.size:
-                return None
-            tag, rows, cols, norm_bytes, csv_sha, payload_sha = _TWIN_HEADER.unpack(header)
-            nbytes = 8 * rows * cols
-            if (tag != _TWIN_TAG or rows < 1 or cols < 1
-                    or os.fstat(fh.fileno()).st_size != _TWIN_HEADER.size + nbytes
-                    or _file_sha256(path) != csv_sha):
-                return None
-            a = aligned_empty((rows, cols))
-            view = memoryview(a).cast("B")
-            got = 0
-            while got < nbytes and (n := fh.readinto(view[got:])):
-                got += n
+            twin_size = os.fstat(fh.fileno()).st_size
+        if len(header) != _TWIN_HEADER.size:
+            return None
+        tag, rows, cols, norm_bytes, csv_digest, payload_digest = _TWIN_HEADER.unpack(header)
+        nbytes = 8 * rows * cols
+        if tag != _TWIN_TAG or rows < 1 or cols < 1 or twin_size != _TWIN_HEADER.size + nbytes:
+            return None
+        csv_size = os.stat(path).st_size
+        a = aligned_empty((rows, cols))
+        csv_leaves, payload_leaves = _hash_files([(path, 0, csv_size, None),
+                                                  (twin, _TWIN_HEADER.size, nbytes, memoryview(a).cast("B"))])
     except OSError:
         return None
-    digest = hashlib.sha256(norm_bytes)
-    digest.update(view)
-    if digest.digest() != payload_sha:
+    if (_hash_list(_COUNT.pack(csv_size), csv_leaves) != csv_digest
+            or _hash_list(norm_bytes, payload_leaves) != payload_digest):
         return None
     (norm_sq,) = _NORM.unpack(norm_bytes)
     return a.view(_TWIN_DTYPE), None if math.isnan(norm_sq) else norm_sq
@@ -235,19 +324,21 @@ def save_matrix(a: np.ndarray, path) -> None:
     skip parsing the CSV, and carries `spectral_norm_sq` of the matrix,
     computed here once, so that a reader skips the eigensolve too, while
     the CSV stays as written here.  A matrix whose norm overflows is saved
-    with NaN in its place, meaning "not carried".
+    with NaN in its place, meaning "not carried".  Both digests are hashed
+    on the calling thread, the CSV's as its blocks are written.
     """
     a = as_matrix(a)
-    csv_sha = _write_csv(a, path, ",")
+    csv_digest = _write_csv(a, path, ",")
     payload = np.ascontiguousarray(a, dtype=_TWIN_DTYPE)
     try:
         norm_sq = spectral_norm_sq(payload)
     except ValueError:
         norm_sq = math.nan
     norm_bytes = _NORM.pack(norm_sq)
-    digest = hashlib.sha256(norm_bytes)
-    digest.update(payload)
-    header = _TWIN_HEADER.pack(_TWIN_TAG, a.shape[0], a.shape[1], norm_bytes, csv_sha, digest.digest())
+    view = memoryview(payload).cast("B")
+    payload_leaves = [hashlib.sha256(view[i:i + LEAF_BYTES]).digest() for i in range(0, len(view), LEAF_BYTES)]
+    header = _TWIN_HEADER.pack(_TWIN_TAG, a.shape[0], a.shape[1], norm_bytes, csv_digest,
+                               _hash_list(norm_bytes, payload_leaves))
     with open(twin_path(path), "wb") as fh:
         fh.write(header)
         fh.write(payload)
@@ -267,10 +358,13 @@ def load_matrix(path) -> tuple[np.ndarray, Optional[float]]:
     CSV (see `_load_twin`), the matrix comes from it, 64-byte aligned,
     without parsing the CSV, and the norm is the one the twin carries: the
     float `spectral_norm_sq` returns for these bits under the BLAS
-    threading it was saved with.  Otherwise the CSV is parsed, the matrix
-    copied to a 64-byte boundary (see `aligned_empty`: on a 2-core Xeon, a
-    parsed 256x512 `run` took 11% less time for a 0.1 ms copy), and the
-    norm is None, as it is for a twin that carries NaN.
+    threading it was saved with.  Checking the twin reads and hashes both
+    files in 1 MiB leaves; from THREADED_MIN_LEAVES leaves on, it does so
+    on one thread per usable CPU, which are joined before this returns.
+    Otherwise the CSV is parsed, the matrix copied to a 64-byte boundary
+    (see `aligned_empty`: on a 2-core Xeon, a parsed 256x512 `run` took
+    11% less time for a 0.1 ms copy), and the norm is None, as it is for a
+    twin that carries NaN.
     """
     twin = _load_twin(path)
     if twin is not None:

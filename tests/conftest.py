@@ -27,15 +27,31 @@ def platform_canary() -> str:
     return digest.hexdigest()[:16]
 
 
+def _earlier_twin_fields(twin):
+    """Rows, cols, the norm's 8 bytes, the flat sha256 of the CSV bytes next
+    to the twin, and the payload: what v1 and v2 twins recorded."""
+    data = twin.read_bytes()
+    header = linalg._TWIN_HEADER
+    _, rows, cols, norm_bytes, _, _ = header.unpack(data[:header.size])
+    csv = twin.with_name(twin.name.removesuffix(".f64"))
+    return rows, cols, norm_bytes, hashlib.sha256(csv.read_bytes()).digest(), data[header.size:]
+
+
 def write_v1_twin(twin):
     """Rewrite a matrix twin in the format before it carried ||A||^2: tag
     `DLSF64v1`, rows, cols, sha256 of the CSV, sha256 of the payload alone."""
-    data = twin.read_bytes()
-    header = linalg._TWIN_HEADER
-    _, rows, cols, _, csv_sha, _ = header.unpack(data[:header.size])
-    payload = data[header.size:]
+    rows, cols, _, csv_sha, payload = _earlier_twin_fields(twin)
     v1_header = struct.pack("<8sQQ32s32s", b"DLSF64v1", rows, cols, csv_sha, hashlib.sha256(payload).digest())
     twin.write_bytes(v1_header + payload)
+
+
+def write_v2_twin(twin):
+    """Rewrite a matrix twin in the format before its digests were hash
+    lists: tag `DLSF64v2`, rows, cols, the norm, sha256 of the CSV, sha256
+    of the norm's 8 bytes followed by the payload."""
+    rows, cols, norm_bytes, csv_sha, payload = _earlier_twin_fields(twin)
+    payload_sha = hashlib.sha256(norm_bytes + payload).digest()
+    twin.write_bytes(linalg._TWIN_HEADER.pack(b"DLSF64v2", rows, cols, norm_bytes, csv_sha, payload_sha) + payload)
 
 
 def base_step(step, x):

@@ -5,7 +5,7 @@ import shutil
 
 import numpy as np
 import pytest
-from conftest import platform_canary, write_v1_twin
+from conftest import platform_canary, write_v1_twin, write_v2_twin
 
 from descentls import cli, linalg, objectives
 from descentls.cli import DEFAULT_SPEC, build_parser, main
@@ -54,16 +54,17 @@ def test_main_parses_each_call_afresh(tmp_path, capsys):
 CLI_TWIN_STATES = {
     "fresh": lambda data: None,
     "v1-twin": lambda data: write_v1_twin(data / "A.csv.f64"),
+    "v2-twin": lambda data: write_v2_twin(data / "A.csv.f64"),
     "twin-deleted": lambda data: (data / "A.csv.f64").unlink(),
     "csv-edited": lambda data: (data / "A.csv").write_text((data / "A.csv").read_text() + "# edited\n"),
 }
 
 
 def test_outputs_do_not_depend_on_the_twin(tmp_path, capsys):
-    # gen writes A.csv.f64 next to A.csv; a v1 twin or none only makes the
-    # commands parse the CSV and compute ||A||^2, to the same bits.
+    # gen writes A.csv.f64 next to A.csv; a v1 or v2 twin or none only makes
+    # the commands parse the CSV and compute ||A||^2, to the same bits.
     outputs = []
-    for state in ("fresh", "v1-twin", "twin-deleted"):
+    for state in ("fresh", "v1-twin", "v2-twin", "twin-deleted"):
         data, out = tmp_path / state, tmp_path / state / "out"
         assert main(["gen", "--seed", "3", "--out", str(data)]) == 0
         CLI_TWIN_STATES[state](data)
@@ -76,7 +77,7 @@ def test_outputs_do_not_depend_on_the_twin(tmp_path, capsys):
                        + [(out / name).read_bytes() for name in ("compare.json", "plain_trace.csv",
                                                                  "search_trace.csv", "trace.csv", "verify.json",
                                                                  "verify/verify.json")])
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1] == outputs[2] == outputs[3]
 
 
 @pytest.mark.parametrize("state", CLI_TWIN_STATES)

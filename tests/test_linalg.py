@@ -1,9 +1,14 @@
 import hashlib
+import os
 import re
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import write_v1_twin
+from conftest import write_v1_twin, write_v2_twin
 
 from descentls import linalg
 from descentls.linalg import (
@@ -242,6 +247,13 @@ def _flip_byte(path, offset):
 NORM_OFFSET = 24
 
 
+def _zero_rows(twin):
+    # A payload of no leaves: its digest is the sha256 of the norm's 8 bytes alone.
+    norm_bytes = twin.read_bytes()[NORM_OFFSET:NORM_OFFSET + 8]
+    twin.write_bytes(twin.read_bytes()[:linalg._TWIN_HEADER.size])
+    _patch_header(twin, rows=0, payload_sha=hashlib.sha256(norm_bytes).digest())
+
+
 # Each state of the twin, set up after save_matrix; only "fresh" may use it.
 TWIN_STATES = {
     "fresh": lambda csv, twin: None,
@@ -252,16 +264,17 @@ TWIN_STATES = {
     "payload-byte-flipped": lambda csv, twin: _flip_byte(twin, -1),
     "norm-byte-flipped": lambda csv, twin: _flip_byte(twin, NORM_OFFSET),
     "wrong-tag": lambda csv, twin: _patch_header(twin, tag=b"DLSF64v0"),
-    # A twin as it was written before it carried the norm.
+    # A twin as it was written before it carried the norm, and before its
+    # digests were hash lists.
     "v1-twin": lambda csv, twin: write_v1_twin(twin),
+    "v2-twin": lambda csv, twin: write_v2_twin(twin),
     "larger-shape": lambda csv, twin: _patch_header(twin, rows=5),
     "huge-shape": lambda csv, twin: _patch_header(twin, rows=2**40, cols=2**20),
     "header-only": lambda csv, twin: twin.write_bytes(twin.read_bytes()[:linalg._TWIN_HEADER.size]),
     "shorter-than-header": lambda csv, twin: twin.write_bytes(twin.read_bytes()[:linalg._TWIN_HEADER.size - 1]),
     "twin-empty": lambda csv, twin: twin.write_bytes(b""),
     # Consistent in size and digests, but save_matrix never writes an empty matrix.
-    "zero-rows": lambda csv, twin: (twin.write_bytes(twin.read_bytes()[:linalg._TWIN_HEADER.size]),
-                                    _patch_header(twin, rows=0, payload_sha=hashlib.sha256(b"").digest())),
+    "zero-rows": lambda csv, twin: _zero_rows(twin),
     "twin-missing": lambda csv, twin: twin.unlink(),
     "hand-written-csv": lambda csv, twin: (twin.unlink(), csv.write_text(
         "-0, 5e-324 ,1e308\n# a comment\n\n1.5,-2E3,4.9406564584124654e-324\n")),
@@ -278,7 +291,7 @@ def test_load_matrix_returns_the_bits_of_loadtxt(tmp_path, monkeypatch, state):
     assert twin_path(csv) == str(twin) and twin.is_file()
     # Entries up to 1e308 overflow ||A||^2: the twin carries NaN in its place.
     header = twin.read_bytes()[:linalg._TWIN_HEADER.size]
-    assert header[:8] == b"DLSF64v2" and np.isnan(np.frombuffer(header[NORM_OFFSET:NORM_OFFSET + 8], "<f8")[0])
+    assert header[:8] == b"DLSF64v3" and np.isnan(np.frombuffer(header[NORM_OFFSET:NORM_OFFSET + 8], "<f8")[0])
     TWIN_STATES[state](csv, twin)
     want = parsed(csv)
     calls = []
@@ -303,6 +316,176 @@ def test_load_matrix_returns_the_bits_of_loadtxt(tmp_path, monkeypatch, state):
     assert got.ctypes.data % 64 == 0 and got.flags.writeable
     if state == "fresh":
         assert same_bits(got, a)
+
+
+# Large enough for the thread pool: the CSV spans 8 leaves of 1 MiB and the
+# payload 3, so each has a middle leaf and a last one.
+THREADED_SHAPE = (512, 768)
+LEAF = 1 << 20
+
+
+def _leaf_digests(data):
+    return b"".join(hashlib.sha256(data[i:i + LEAF]).digest() for i in range(0, len(data), LEAF))
+
+
+@pytest.fixture(scope="module")
+def threaded_files(tmp_path_factory):
+    """A matrix of THREADED_SHAPE and a directory where save_matrix wrote it."""
+    a = np.random.default_rng(19).standard_normal(THREADED_SHAPE)
+    saved = tmp_path_factory.mktemp("threaded")
+    save_matrix(a, saved / "A.csv")
+    return a, saved
+
+
+def _threaded_twin(tmp_path, threaded_files):
+    a, saved = threaded_files
+    csv, twin = tmp_path / "A.csv", tmp_path / "A.csv.f64"
+    csv.write_bytes((saved / "A.csv").read_bytes())
+    twin.write_bytes((saved / "A.csv.f64").read_bytes())
+    sizes = [os.path.getsize(csv), os.path.getsize(twin) - linalg._TWIN_HEADER.size]
+    leaves = [-(-size // LEAF) for size in sizes]
+    assert leaves == [8, 3] and sum(leaves) >= linalg.THREADED_MIN_LEAVES
+    return a, csv, twin
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(what)
+    return refuse
+
+
+def _pools_started(monkeypatch):
+    """The thread count of each pool that `linalg` starts, as a list that grows."""
+    pools = []
+
+    class Pool(linalg.ThreadPoolExecutor):
+        def __init__(self, threads):
+            pools.append(threads)
+            super().__init__(threads)
+
+    monkeypatch.setattr(linalg, "ThreadPoolExecutor", Pool)
+    return pools
+
+
+def test_twin_digests_are_hash_lists_of_1_mib_leaves(tmp_path, threaded_files):
+    a, csv, twin = _threaded_twin(tmp_path, threaded_files)
+    data, text = twin.read_bytes(), csv.read_bytes()
+    header = linalg._TWIN_HEADER
+    tag, rows, cols, norm_bytes, csv_digest, payload_digest = header.unpack(data[:header.size])
+    assert (tag, rows, cols) == (b"DLSF64v3", *THREADED_SHAPE)
+    assert norm_bytes == struct.pack("<d", spectral_norm_sq(a))
+    assert csv_digest == hashlib.sha256(struct.pack("<Q", len(text)) + _leaf_digests(text)).digest()
+    assert payload_digest == hashlib.sha256(norm_bytes + _leaf_digests(data[header.size:])).digest()
+    assert data[header.size:] == a.astype("<f8").tobytes()
+
+
+def _edit_last_leaf(csv):
+    # The first digit of the last value, which the last leaf holds, changes
+    # and keeps the file's length, so only that leaf's digest tells.
+    data = bytearray(csv.read_bytes())
+    i = data.rindex(b",") + 1
+    i += data[i:i + 1] == b"-"
+    assert i >= (len(data) - 1) // LEAF * LEAF
+    data[i:i + 1] = b"1" if data[i:i + 1] == b"0" else b"0"
+    csv.write_bytes(bytes(data))
+
+
+# Each state of a twin on the threaded path: only "fresh" may use it.
+THREADED_STATES = {
+    "fresh": lambda csv, twin: None,
+    "csv-last-leaf-edited": lambda csv, twin: _edit_last_leaf(csv),
+    "payload-middle-leaf-flipped": lambda csv, twin: _flip_byte(twin, linalg._TWIN_HEADER.size + LEAF + 4321),
+}
+
+
+@pytest.mark.parametrize("state", THREADED_STATES)
+def test_every_leaf_counts_on_the_threaded_path(tmp_path, threaded_files, monkeypatch, state):
+    a, csv, twin = _threaded_twin(tmp_path, threaded_files)
+    THREADED_STATES[state](csv, twin)
+    if state == "fresh":
+        monkeypatch.setattr(np, "loadtxt", _refuse("a valid twin must spare the parse"))
+    got, norm_sq = load_matrix(csv)
+    assert same_bits(got, parsed(csv) if state != "fresh" else a)
+    assert (norm_sq is None) == (state != "fresh")
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 7])
+def test_the_twin_reads_alike_on_any_number_of_threads(tmp_path, threaded_files, monkeypatch, cpus):
+    # Runs of 1 to 11 leaves, some across the end of the CSV, all rebuild the
+    # digests, also with more threads than cores switching often.
+    a, csv, _ = _threaded_twin(tmp_path, threaded_files)
+    pools = _pools_started(monkeypatch)
+    monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(np, "loadtxt", _refuse("a valid twin must spare the parse"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got, norm_sq = load_matrix(csv)
+    finally:
+        sys.setswitchinterval(interval)
+    assert same_bits(got, a) and norm_sq == spectral_norm_sq(a)
+    assert pools == ([] if cpus == 1 else [cpus])
+
+
+# Runs with its process pinned to one CPU: saves the .npy matrix as CSV and
+# twin, or loads the CSV and checks that it has the .npy bits, without a
+# parse.  Either way no thread pool may start.
+PINNED = """
+import os, sys
+os.sched_setaffinity(0, {int(sys.argv[1])})
+import numpy as np
+from descentls import linalg
+
+def refuse(*args, **kwargs):
+    raise AssertionError(f"called with one usable CPU: {args}")
+
+linalg.ThreadPoolExecutor = refuse
+command, csv, npy = sys.argv[2:]
+if command == "save":
+    linalg.save_matrix(np.load(npy), csv)
+else:
+    np.loadtxt = refuse
+    a, norm_sq = linalg.load_matrix(csv)
+    assert a.tobytes() == np.load(npy).tobytes() and norm_sq is not None
+"""
+
+
+def _pinned(command, csv, npy):
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cpu = min(os.sched_getaffinity(0))
+    subprocess.run([sys.executable, "-c", PINNED, str(cpu), command, str(csv), str(npy)], env=env, check=True)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs os.sched_setaffinity and two usable CPUs to read on one and on several")
+@pytest.mark.parametrize("writer", ["one-cpu", "all-cpus"])
+def test_digests_do_not_depend_on_the_thread_count(tmp_path, threaded_files, monkeypatch, writer):
+    a, csv, twin = _threaded_twin(tmp_path, threaded_files)
+    np.save(tmp_path / "A.npy", a)
+    if writer == "all-cpus":
+        _pinned("load", csv, tmp_path / "A.npy")
+        return
+    twin.unlink()
+    csv.unlink()
+    _pinned("save", csv, tmp_path / "A.npy")
+    pools = _pools_started(monkeypatch)
+    monkeypatch.setattr(np, "loadtxt", _refuse("a valid twin must spare the parse"))
+    got, norm_sq = load_matrix(csv)
+    assert same_bits(got, a) and norm_sq is not None
+    # One thread per usable CPU, and no more than the 8 + 3 leaves.
+    assert pools == [min(len(os.sched_getaffinity(0)), 11)]
+
+
+@pytest.mark.parametrize("shape", [(32, 64), (256, 512)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_small_matrices_start_no_thread(tmp_path, monkeypatch, shape):
+    monkeypatch.setattr(linalg, "ThreadPoolExecutor", _refuse("a thread pool started"))
+    monkeypatch.setattr(np, "loadtxt", _refuse("a valid twin must spare the parse"))
+    a = np.random.default_rng(23).standard_normal(shape)
+    save_matrix(a, tmp_path / "A.csv")
+    got, norm_sq = load_matrix(tmp_path / "A.csv")
+    assert same_bits(got, a) and norm_sq == spectral_norm_sq(a)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (5, 3), (32, 64), (65, 33)], ids=lambda s: f"{s[0]}x{s[1]}")
